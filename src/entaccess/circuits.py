@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .statevector import (
     HADAMARD,
     IDENTITY,
@@ -170,19 +168,16 @@ def prepare_ghz(q: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) over q qubits."""
     if q < 2:
         raise ValueError("GHZ state needs at least two qubits")
-    amps = np.zeros(1 << q, dtype=complex)
-    amps[0] = amps[-1] = 1.0 / math.sqrt(2.0)
-    return StateVector(q, amps)
+    amp = 1.0 / math.sqrt(2.0)
+    return StateVector.from_support(q, {0: amp, (1 << q) - 1: amp})
 
 
 def prepare_w(n: int) -> StateVector:
     """Equal superposition of all one-hot basis states over n qubits."""
     if n < 1:
         raise ValueError("W state needs at least one qubit")
-    amps = np.zeros(1 << n, dtype=complex)
-    for i in range(n):
-        amps[1 << (n - 1 - i)] = 1.0 / math.sqrt(n)
-    return StateVector(n, amps)
+    amp = 1.0 / math.sqrt(n)
+    return StateVector.from_support(n, {1 << (n - 1 - i): amp for i in range(n)})
 
 
 def leader_aware_circuit(n: int) -> GateList:
@@ -208,17 +203,18 @@ def prepare_leader_aware(n: int) -> StateVector:
     """The contention resource: n one-hot W terms, each tagged with the
     winner's binary index on the ancillas.
 
-    Built directly from the amplitude pattern; ``leader_aware_circuit(n)``
+    Built directly from its n-term support; ``leader_aware_circuit(n)``
     applied to W tensor |0...0> produces the same state (checked in tests).
     """
     layout = LeaderAwareLayout(n)
     total = layout.num_qubits
-    amps = np.zeros(1 << total, dtype=complex)
+    amp = 1.0 / math.sqrt(n)
+    support = {}
     for i in range(1, n + 1):
         index = 1 << (total - 1 - layout.w_qubit(i))
         code = i - 1
         for j in range(layout.m):
             if (code >> j) & 1:
                 index |= 1 << (total - 1 - layout.ancilla_qubit(j))
-        amps[index] = 1.0 / math.sqrt(n)
-    return StateVector(total, amps)
+        support[index] = amp
+    return StateVector.from_support(total, support)

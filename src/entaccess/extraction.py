@@ -16,23 +16,21 @@ import math
 from dataclasses import dataclass
 from functools import reduce
 
-import numpy as np
-
 from .statevector import (
     Basis,
     HADAMARD,
     IDENTITY,
     PAULI_Z,
     Gate,
-    MeasurementRecord,
     RandomSource,
     StateVector,
     apply_single,
     measure,
 )
 
-BELL_PHI_PLUS = StateVector(2, np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0))
-BELL_PHI_MINUS = StateVector(2, np.array([1.0, 0.0, 0.0, -1.0]) / math.sqrt(2.0))
+_SQ2 = 1.0 / math.sqrt(2.0)
+BELL_PHI_PLUS = StateVector.from_support(2, {0b00: _SQ2, 0b11: _SQ2})
+BELL_PHI_MINUS = StateVector.from_support(2, {0b00: _SQ2, 0b11: -_SQ2})
 
 
 @dataclass(frozen=True)
@@ -91,7 +89,6 @@ class ExtractionResult:
     outcomes: dict[int, int]
     parity: int
     state: StateVector
-    records: tuple[MeasurementRecord, ...]
     operations: tuple[tuple[str, int], ...]
 
 
@@ -136,12 +133,10 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
         )
     state = ghz
     outcomes: dict[int, int] = {}
-    records = []
     operations = []
     for qubit in p.losers:
         record, state = measure(state, qubit, Basis.HADAMARD, rng)
         outcomes[qubit] = record.outcome
-        records.append(record)
         operations.append(("measure_hadamard", qubit))
     parity = reduce(lambda acc, g: acc ^ g, outcomes.values(), 0)
     return ExtractionResult(
@@ -149,7 +144,6 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
         outcomes=outcomes,
         parity=parity,
         state=state,
-        records=tuple(records),
         operations=tuple(operations),
     )
 
@@ -172,12 +166,11 @@ def bell_pair_reference(
     register next to the extracted pair.
     """
     a, b = pair
-    amps = np.zeros(1 << num_qubits, dtype=complex)
     base = 0
     for qubit, bit in pinned.items():
         if bit:
             base |= 1 << (num_qubits - 1 - qubit)
     ones = (1 << (num_qubits - 1 - a)) | (1 << (num_qubits - 1 - b))
-    amps[base] = 1.0 / math.sqrt(2.0)
-    amps[base | ones] = (-1.0 if minus else 1.0) / math.sqrt(2.0)
-    return StateVector(num_qubits, amps)
+    return StateVector.from_support(
+        num_qubits, {base: _SQ2, base | ones: -_SQ2 if minus else _SQ2}
+    )

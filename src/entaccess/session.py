@@ -28,6 +28,7 @@ from .protocol import (
     SlotType,
     contend,
     decode_ancilla,
+    message_shape,
     run_downlink_slot,
     run_uplink_slot,
     teleport_receive,
@@ -136,6 +137,11 @@ def _trial_worker(args: tuple[SessionConfig, int]) -> list[dict]:
     return _run_trial(*args)
 
 
+def _chunksize(trials: int, jobs: int) -> int:
+    """Trials per pool task: about eight tasks per worker, so per-task pickling stays small."""
+    return max(1, trials // (jobs * 8))
+
+
 def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, list[dict]]:
     """Run the configured trials and return (stats, trace records).
 
@@ -149,7 +155,9 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
         per_trial = [_run_trial(*a) for a in trial_args]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(pool.map(_trial_worker, trial_args))
+            per_trial = list(
+                pool.map(_trial_worker, trial_args, chunksize=_chunksize(config.trials, jobs))
+            )
     records = [rec for chunk in per_trial for rec in chunk]
     return _aggregate(config, records), records
 
@@ -248,9 +256,10 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
     if jobs == 1:
         winners = [_contention_winner(a) for a in trial_args]
     else:
-        chunk = max(1, trials // (jobs * 8))
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            winners = list(pool.map(_contention_winner, trial_args, chunksize=chunk))
+            winners = list(
+                pool.map(_contention_winner, trial_args, chunksize=_chunksize(trials, jobs))
+            )
     histogram = {node: 0 for node in range(1, n + 1)}
     for winner in winners:
         histogram[winner] += 1
@@ -429,12 +438,7 @@ def collect_traffic_shapes(
     shapes: dict[int, set[tuple]] = {}
     for seed in range(max_seeds):
         report: SlotReport = run(n, None, RandomSource(seed))
-        shape = tuple(
-            (m.sender, "broadcast" if m.recipient is None else m.recipient,
-             m.payload.BIT_COUNT)
-            for m in report.messages
-        )
-        shapes.setdefault(report.outcome.winner, set()).add(shape)
+        shapes.setdefault(report.outcome.winner, set()).add(message_shape(report.messages))
         if len(shapes) == n:
             break
     if len(shapes) < n:

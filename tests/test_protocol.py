@@ -324,6 +324,18 @@ class TestLargerNetworks:
             assert message_bits(up.messages) == 2 * n
             assert message_bits(down.messages) == 2 * n + 3
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_two_hundred_fifty_six_nodes_deliver(self, seed):
+        # 266-qubit registers: only the support of each state is ever stored
+        up = run_uplink_slot(256, None, RandomSource(seed))
+        down = run_downlink_slot(256, None, RandomSource(seed))
+        for report in (up, down):
+            assert report.teleport_fidelity == pytest.approx(1.0, abs=1e-10)
+            assert decode_ancilla(report.ancilla, 256) == report.outcome.winner
+            assert sum(report.w_outcomes) == 1
+        assert message_bits(up.messages) == 2 * 256
+        assert message_bits(down.messages) == 2 * 256 + 3
+
 
 class TestTrafficShape:
     @pytest.mark.parametrize("slot_type", [SlotType.UPLINK, SlotType.DOWNLINK])

@@ -7,6 +7,7 @@ probabilities at binomial 3-sigma bounds.
 """
 
 import math
+import pickle
 from functools import reduce
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from entaccess.statevector import (
+    MAX_DENSE_QUBITS,
     Basis,
     Gate,
     HADAMARD,
@@ -408,3 +410,110 @@ class TestInvariants:
     def test_cnot_preserves_norm(self, seed):
         state = apply_cnot(random_state(3, seed), 0, 2)
         assert abs(np.sum(np.abs(state.amplitudes) ** 2) - 1.0) < 1e-10
+
+
+class _FixedRandom:
+    """Stand-in random source: always draws ``value`` and counts the draws."""
+
+    def __init__(self, value: float):
+        self.value = value
+        self.draws = 0
+
+    def random(self) -> float:
+        self.draws += 1
+        return self.value
+
+
+class TestSupportStorage:
+    def test_support_holds_only_nonzero_amplitudes(self):
+        assert dict(ghz(3).support) == {0b000: pytest.approx(SQ2), 0b111: pytest.approx(SQ2)}
+        assert dict(StateVector.basis_state([0, 1, 1]).support) == {0b011: 1.0}
+
+    def test_from_support_matches_dense_constructor(self):
+        dense = w_state(3)
+        amp = 1.0 / math.sqrt(3)
+        sparse = StateVector.from_support(3, {0b100: amp, 0b010: amp, 0b001: amp})
+        assert sparse == dense
+        np.testing.assert_allclose(sparse.amplitudes, dense.amplitudes)
+
+    def test_from_support_validates(self):
+        with pytest.raises(ValueError, match="out of range"):
+            StateVector.from_support(2, {4: 1.0})
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector.from_support(2, {0: 1.0, 3: 1.0})
+
+    def test_exact_zeros_leave_the_support(self):
+        out = apply_single(ghz(2), 0, HADAMARD)
+        out = apply_single(out, 1, HADAMARD)  # (|00> + |11>)/sqrt2 is H(x)H-invariant
+        assert sorted(out.support) == [0b00, 0b11]
+
+    def test_tiny_amplitudes_stay_in_the_support(self):
+        tiny = 1e-17
+        state = StateVector(1, np.array([math.sqrt(1.0 - tiny**2), tiny]))
+        assert sorted(apply_single(state, 0, PAULI_X).support) == [0, 1]
+        assert sorted(apply_single(state, 0, HADAMARD).support) == [0, 1]
+
+    def test_branch_guard_still_sees_float_noise(self):
+        # a weight of 1e-34 on |0> is float noise: a draw of 0.0 samples it,
+        # and the _BRANCH_EPS rule turns the outcome into the possible one
+        tiny = 1e-17
+        state = StateVector(1, np.array([tiny, math.sqrt(1.0 - tiny**2)]))
+        rng = _FixedRandom(0.0)
+        record, post = measure(state, 0, Basis.COMPUTATIONAL, rng)
+        assert record.outcome == 1
+        assert sorted(post.support) == [1]
+
+    def test_one_draw_per_measurement(self):
+        rng = _FixedRandom(0.3)
+        state = random_state(3, seed=2)
+        for qubit, basis in [(0, Basis.COMPUTATIONAL), (1, Basis.HADAMARD), (2, Basis.COMPUTATIONAL)]:
+            _, state = measure(state, qubit, basis, rng)
+        assert rng.draws == 3
+
+    def test_amplitudes_view_is_read_only(self):
+        amps = ghz(2).amplitudes
+        with pytest.raises(ValueError):
+            amps[0] = 0.0
+
+    def test_state_is_immutable(self):
+        state = ghz(2)
+        with pytest.raises(AttributeError):
+            state.num_qubits = 3
+
+    def test_pickle_round_trip(self):
+        for state in (random_state(4, seed=3), w_state(5), StateVector.basis_state([1] * 70)):
+            restored = pickle.loads(pickle.dumps(state))
+            assert restored == state
+            assert restored.num_qubits == state.num_qubits
+            with pytest.raises(AttributeError):
+                restored.num_qubits = 1
+
+    def test_wide_registers_are_cheap(self):
+        # 300 qubits: a width no dense vector could hold
+        ghz150 = StateVector.from_support(150, {0: SQ2, (1 << 150) - 1: SQ2})
+        wide = tensor_product(StateVector.basis_state([1] * 150), ghz150)
+        wide = apply_cnot(apply_single(wide, 0, HADAMARD), 0, 299)
+        assert wide.num_qubits == 300
+        assert len(wide.support) == 4
+        assert fidelity(wide, wide) == pytest.approx(1.0)
+        assert marginal_distribution(wide, [0, 150]) == {
+            (0, 0): pytest.approx(0.25), (0, 1): pytest.approx(0.25),
+            (1, 0): pytest.approx(0.25), (1, 1): pytest.approx(0.25),
+        }
+
+
+class TestDenseBudget:
+    def test_amplitudes_refused_over_budget(self):
+        state = StateVector.basis_state([0] * 64)
+        with pytest.raises(ValueError, match="64 qubits"):
+            state.amplitudes
+        with pytest.raises(ValueError, match="64 qubits"):
+            state.probabilities()
+
+    def test_marginal_table_refused_over_budget(self):
+        state = StateVector.basis_state([0] * 64)
+        with pytest.raises(ValueError, match=f"{MAX_DENSE_QUBITS + 1} qubits"):
+            marginal_distribution(state, list(range(MAX_DENSE_QUBITS + 1)))
+        assert marginal_distribution(state, [0, 63]) == {
+            (0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0
+        }
