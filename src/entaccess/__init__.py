@@ -38,10 +38,13 @@ from .protocol import (
     SlotType,
     contend,
     decode_ancilla,
+    delivered_fidelity,
     message_bits,
     message_shape,
     read_ancillas,
+    run_contention,
     run_downlink_slot,
+    run_slot,
     run_uplink_slot,
     teleport_receive,
     teleport_send,
@@ -49,7 +52,6 @@ from .protocol import (
 from .session import (
     AnonymityReport,
     FairnessResult,
-    PayloadPolicy,
     SessionConfig,
     SessionStats,
     SlotBranch,

@@ -15,16 +15,10 @@ import argparse
 import json
 import sys
 
-from .circuits import LeaderAwareLayout, leader_aware_circuit, prepare_leader_aware
-from .protocol import (
-    SlotType,
-    contend,
-    decode_ancilla,
-    read_ancillas,
-    run_downlink_slot,
-    run_uplink_slot,
-)
+from .circuits import leader_aware_circuit
+from .protocol import SlotType, run_contention, run_slot
 from .session import (
+    DEFAULT_SLOT_PATTERN,
     SessionConfig,
     anonymity_experiment,
     fairness_experiment,
@@ -112,19 +106,13 @@ def _dump_jsonl(records) -> str:
 
 
 def _cmd_elect(args, fmt: str, path: str | None) -> None:
-    rng = RandomSource(args.seed)
-    layout = LeaderAwareLayout(args.n)
-    winner, w_outcomes, state = contend(prepare_leader_aware(args.n), rng)
-    ancilla, _ = read_ancillas(state, layout, rng)
-    decoded = decode_ancilla(ancilla, args.n)
-    if decoded != winner:
-        raise RuntimeError(f"ancilla decode {decoded} disagrees with winner {winner}")
+    winner, w_outcomes, ancilla = run_contention(args.n, RandomSource(args.seed))
     _emit(
         _dump_json(
             {
                 "n": args.n,
                 "seed": args.seed,
-                "winner": decoded,
+                "winner": winner,
                 "w_outcomes": list(w_outcomes),
                 "ancilla": list(ancilla),
             }
@@ -133,10 +121,8 @@ def _cmd_elect(args, fmt: str, path: str | None) -> None:
     )
 
 
-def _cmd_slot(args, fmt: str, path: str | None, slot_type: SlotType) -> None:
-    run = run_uplink_slot if slot_type is SlotType.UPLINK else run_downlink_slot
-    report = run(args.n, None, RandomSource(args.seed))
-    record = report.to_record(0)
+def _cmd_slot(args, fmt: str, path: str | None) -> None:
+    record = run_slot(args.n, args.slot_type, None, RandomSource(args.seed)).to_record(0)
     record["seed"] = args.seed
     _emit(_dump_jsonl([record]) if fmt == "jsonl" else _dump_json(record), path)
 
@@ -214,24 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_elect, formats=("json",))
 
-    p = sub.add_parser("uplink", help="run one uplink slot")
-    add_common(p)
-    p.set_defaults(
-        func=lambda a, f, o: _cmd_slot(a, f, o, SlotType.UPLINK),
-        formats=("json", "jsonl"),
-    )
-
-    p = sub.add_parser("downlink", help="run one downlink slot")
-    add_common(p)
-    p.set_defaults(
-        func=lambda a, f, o: _cmd_slot(a, f, o, SlotType.DOWNLINK),
-        formats=("json", "jsonl"),
-    )
+    for slot_type in SlotType:
+        p = sub.add_parser(slot_type.value, help=f"run one {slot_type.value} slot")
+        add_common(p)
+        p.set_defaults(func=_cmd_slot, slot_type=slot_type, formats=("json", "jsonl"))
 
     p = sub.add_parser("session", help="run a multi-slot session")
     add_common(p)
     p.add_argument("--trials", type=_positive_int, default=1, help="trial count")
-    p.add_argument("--slots", type=_slot_pattern, default=(SlotType.DOWNLINK, SlotType.UPLINK),
+    p.add_argument("--slots", type=_slot_pattern, default=DEFAULT_SLOT_PATTERN,
                    help="slot pattern, e.g. 'du' or 'downlink,uplink' (default du)")
     p.add_argument("--jobs", type=_positive_int, default=1,
                    help="worker processes for trials (output independent of this)")

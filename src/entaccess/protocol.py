@@ -83,6 +83,15 @@ class ContentionOutcome:
         """The end-node member of the pair."""
         return self.transmitter if self.transmitter != ORCHESTRATOR else self.receiver
 
+    @classmethod
+    def for_slot(cls, slot_type: SlotType, winner: int) -> ContentionOutcome:
+        """The slot's pair: the winner transmits in uplink and receives in downlink."""
+        if slot_type is SlotType.UPLINK:
+            return cls(slot_type, transmitter=winner, receiver=ORCHESTRATOR)
+        if slot_type is SlotType.DOWNLINK:
+            return cls(slot_type, transmitter=ORCHESTRATOR, receiver=winner)
+        raise ValueError(f"slot type must be a SlotType, got {slot_type!r}")
+
     def role_of(self, node: int) -> Role:
         if node == self.transmitter:
             return Role.TRANSMITTER
@@ -269,29 +278,30 @@ def _payloads_for(n: int, payloads: Sequence[StateVector] | None, rng: RandomSou
     return list(payloads)
 
 
-def _basis2(bit: int) -> tuple[float, float]:
-    return (1.0, 0.0) if bit == 0 else (0.0, 1.0)
-
-
-def _delivered_fidelity(
+def delivered_fidelity(
     final: StateVector,
-    n: int,
     receiver_qubit: int,
     payload: StateVector,
     pinned: dict[int, int],
 ) -> float:
-    """Overlap of the finished register with payload-at-receiver, all else pinned."""
-    vectors: list = []
-    for qubit in range(n + 2):
-        if qubit == receiver_qubit:
-            vectors.append(payload.amplitudes)
-        else:
-            vectors.append(_basis2(pinned[qubit]))
+    """Overlap of a finished slot register with the payload at the receiver.
+
+    Every other qubit is pinned to its measured bit: ``pinned[q]`` for each
+    qubit ``q`` of ``final`` except ``receiver_qubit``.
+    """
+    vectors = [
+        payload.amplitudes if q == receiver_qubit else ((1.0, 0.0), (0.0, 1.0))[pinned[q]]
+        for q in range(final.num_qubits)
+    ]
     return fidelity(final, product_state(vectors))
 
 
-def _run_contention(n: int, rng: RandomSource):
-    """Shared slot prologue: contention plus orchestrator ancilla decode."""
+def run_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Slot prologue: contention plus orchestrator ancilla decode.
+
+    Returns (winner, per-node W outcomes, ancilla readout); raises
+    ``ProtocolError`` if the ancillas name a node other than the winner.
+    """
     layout = LeaderAwareLayout(n)
     winner, w_outcomes, lam = contend(prepare_leader_aware(n), rng)
     ancilla, _ = read_ancillas(lam, layout, rng)
@@ -303,65 +313,85 @@ def _run_contention(n: int, rng: RandomSource):
     return winner, w_outcomes, ancilla
 
 
-def run_uplink_slot(
+def run_slot(
     n: int,
+    slot_type: SlotType,
     payloads: Sequence[StateVector] | None = None,
     rng: RandomSource | int = 0,
 ) -> SlotReport:
-    """One uplink slot: the contention winner teleports its payload to the orchestrator.
+    """One slot: contention, EPR extraction, then teleportation over the pair.
 
-    ``payloads[i-1]`` is the qubit end-node N_i would send; when None, they
-    are drawn uniformly from the Bloch sphere using ``rng``.
+    The slot type only decides who sends: the contention winner teleports to
+    the orchestrator in uplink, the orchestrator to the winner in downlink.
+    ``payloads[i-1]`` is the qubit sent by (uplink) or held for (downlink)
+    end-node N_i; only the winner's is consumed. When None, the payloads are
+    drawn uniformly from the Bloch sphere using ``rng``.
     """
     rng = _as_rng(rng)
     payloads = _payloads_for(n, payloads, rng)
-    winner, w_outcomes, ancilla = _run_contention(n, rng)
+    winner, w_outcomes, ancilla = run_contention(n, rng)
+    outcome = ContentionOutcome.for_slot(slot_type, winner)
+    uplink = slot_type is SlotType.UPLINK
 
     ext = extract_epr(prepare_ghz(n + 1), build_p_sequence(winner, n), rng)
     payload = payloads[winner - 1]
     joint = tensor_product(ext.state, payload)  # payload joins as qubit n+1
-    q_star, g_star, joint = teleport_send(joint, n + 1, winner, rng)
+    if uplink:
+        q_star, g_star, joint = teleport_send(joint, n + 1, winner, rng)
 
+    # Every end-node sends one report. Losers send their extraction bit and a
+    # dummy; the winner sends its teleportation bits (uplink) or two random
+    # padding bits, g then q, drawn in its turn (downlink).
     messages = []
     views: dict[int, dict] = {}
     for node in range(1, n + 1):
-        if node == winner:
-            report = EndNodeReport(g=g_star, q=q_star)
-            views[node] = {"w": 1, "g_sent": g_star, "q_sent": q_star}
+        if node != winner:
+            g, q = ext.outcomes[node], rng.bit()
+        elif uplink:
+            g, q = g_star, q_star
         else:
-            dummy = rng.bit()
-            report = EndNodeReport(g=ext.outcomes[node], q=dummy)
-            views[node] = {"w": 0, "g_sent": ext.outcomes[node], "q_sent": dummy}
-        messages.append(ClassicalMessage(node, ORCHESTRATOR, report))
-
-    # Orchestrator: the ancilla readout selects which report carries the
-    # teleportation bits; the rest contribute their g bits to the parity.
-    winner_report = messages[winner - 1].payload
+            g, q = rng.bit(), rng.bit()
+        views[node] = {"w": int(node == winner), "g_sent": g, "q_sent": q}
+        messages.append(ClassicalMessage(node, ORCHESTRATOR, EndNodeReport(g=g, q=q)))
     parity = 0
     for msg in messages:
         if msg.sender != winner:
             parity ^= msg.payload.g
-    final = teleport_receive(joint, ORCHESTRATOR, winner_report.q, winner_report.g, parity)
-
-    pinned = dict(ext.outcomes)
-    pinned[winner] = g_star
-    pinned[n + 1] = q_star
-    delivered = _delivered_fidelity(final, n, ORCHESTRATOR, payload, pinned)
     views[ORCHESTRATOR] = {
         "ancilla": ancilla,
         "parity": parity,
         "reports": tuple((m.sender, m.payload.g, m.payload.q) for m in messages),
     }
 
+    if not uplink:
+        q_star, g_star, joint = teleport_send(joint, n + 1, ORCHESTRATOR, rng)
+        broadcast = OrchestratorBroadcast(q_star=q_star, g0=g_star, parity=parity)
+        messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
+        for node in range(1, n + 1):
+            views[node]["broadcast"] = (q_star, g_star, parity)
+
+    final = teleport_receive(joint, outcome.receiver, q_star, g_star, parity)
+    pinned = dict(ext.outcomes)
+    pinned[outcome.transmitter] = g_star
+    pinned[n + 1] = q_star
     return SlotReport(
-        outcome=ContentionOutcome(SlotType.UPLINK, transmitter=winner, receiver=ORCHESTRATOR),
+        outcome=outcome,
         w_outcomes=w_outcomes,
         ancilla=ancilla,
         parity=parity,
-        teleport_fidelity=delivered,
+        teleport_fidelity=delivered_fidelity(final, outcome.receiver, payload, pinned),
         messages=tuple(messages),
         local_views=views,
     )
+
+
+def run_uplink_slot(
+    n: int,
+    payloads: Sequence[StateVector] | None = None,
+    rng: RandomSource | int = 0,
+) -> SlotReport:
+    """``run_slot`` for an uplink slot."""
+    return run_slot(n, SlotType.UPLINK, payloads, rng)
 
 
 def run_downlink_slot(
@@ -369,61 +399,5 @@ def run_downlink_slot(
     payloads: Sequence[StateVector] | None = None,
     rng: RandomSource | int = 0,
 ) -> SlotReport:
-    """One downlink slot: the orchestrator teleports a payload to the contention winner.
-
-    ``payloads[i-1]`` is the qubit the orchestrator holds for end-node N_i;
-    only the winner's is consumed this slot.
-    """
-    rng = _as_rng(rng)
-    payloads = _payloads_for(n, payloads, rng)
-    winner, w_outcomes, ancilla = _run_contention(n, rng)
-
-    ext = extract_epr(prepare_ghz(n + 1), build_p_sequence(winner, n), rng)
-
-    messages = []
-    views: dict[int, dict] = {}
-    for node in range(1, n + 1):
-        if node == winner:
-            report = EndNodeReport(g=rng.bit(), q=rng.bit())
-            views[node] = {"w": 1, "g_sent": report.g, "q_sent": report.q}
-        else:
-            dummy = rng.bit()
-            report = EndNodeReport(g=ext.outcomes[node], q=dummy)
-            views[node] = {"w": 0, "g_sent": ext.outcomes[node], "q_sent": dummy}
-        messages.append(ClassicalMessage(node, ORCHESTRATOR, report))
-
-    # Orchestrator: ancillas select the winner's payload; reports from the
-    # other nodes carry the parity bits.
-    payload = payloads[winner - 1]
-    joint = tensor_product(ext.state, payload)
-    q_star, g0, joint = teleport_send(joint, n + 1, ORCHESTRATOR, rng)
-    parity = 0
-    for msg in messages:
-        if msg.sender != winner:
-            parity ^= msg.payload.g
-    broadcast = OrchestratorBroadcast(q_star=q_star, g0=g0, parity=parity)
-    messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
-    for node in range(1, n + 1):
-        views[node]["broadcast"] = (q_star, g0, parity)
-
-    final = teleport_receive(joint, winner, q_star, g0, parity)
-
-    pinned = dict(ext.outcomes)
-    pinned[ORCHESTRATOR] = g0
-    pinned[n + 1] = q_star
-    delivered = _delivered_fidelity(final, n, winner, payload, pinned)
-    views[ORCHESTRATOR] = {
-        "ancilla": ancilla,
-        "parity": parity,
-        "reports": tuple((m.sender, m.payload.g, m.payload.q) for m in messages[:-1]),
-    }
-
-    return SlotReport(
-        outcome=ContentionOutcome(SlotType.DOWNLINK, transmitter=ORCHESTRATOR, receiver=winner),
-        w_outcomes=w_outcomes,
-        ancilla=ancilla,
-        parity=parity,
-        teleport_fidelity=delivered,
-        messages=tuple(messages),
-        local_views=views,
-    )
+    """``run_slot`` for a downlink slot."""
+    return run_slot(n, SlotType.DOWNLINK, payloads, rng)

@@ -16,21 +16,22 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 
 from scipy import stats as _scipy_stats
 
 from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence
 from .protocol import (
+    ContentionOutcome,
+    EndNodeReport,
+    OrchestratorBroadcast,
     ProtocolError,
-    SlotReport,
     SlotType,
     contend,
     decode_ancilla,
+    delivered_fidelity,
     message_shape,
-    run_downlink_slot,
-    run_uplink_slot,
+    run_slot,
     teleport_receive,
 )
 from .statevector import (
@@ -41,8 +42,6 @@ from .statevector import (
     apply_cnot,
     apply_single,
     enumerate_branches,
-    fidelity,
-    product_state,
     tensor_product,
 )
 
@@ -52,10 +51,8 @@ DEFAULT_SLOT_PATTERN = (SlotType.DOWNLINK, SlotType.UPLINK)
 # flips, the complex phase catches sign errors.
 _PROBE_PAYLOAD = StateVector.qubit(0.6, 0.8j)
 
-
-class PayloadPolicy(Enum):
-    HAAR_RANDOM = "haar"
-    FIXED_BASIS = "basis"
+# Wire size of each message, keyed by its "type" in a slot trace record.
+_BIT_COUNT = {"report": EndNodeReport.BIT_COUNT, "broadcast": OrchestratorBroadcast.BIT_COUNT}
 
 
 @dataclass(frozen=True)
@@ -64,7 +61,6 @@ class SessionConfig:
     seed: int
     slots: tuple[SlotType, ...] = DEFAULT_SLOT_PATTERN
     trials: int = 1
-    payload_policy: PayloadPolicy = PayloadPolicy.HAAR_RANDOM
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -73,6 +69,9 @@ class SessionConfig:
             raise ValueError("need at least one trial")
         if not self.slots:
             raise ValueError("slot pattern must not be empty")
+        for slot_type in self.slots:
+            if not isinstance(slot_type, SlotType):
+                raise ValueError(f"slot pattern entries must be SlotType, got {slot_type!r}")
 
 
 @dataclass
@@ -113,24 +112,13 @@ class SessionStats:
         }
 
 
-def _fixed_payloads(n: int) -> list[StateVector]:
-    return [StateVector.qubit(0.0, 1.0) for _ in range(n)]
-
-
 def _run_trial(config: SessionConfig, trial: int) -> list[dict]:
     rng = RandomSource(config.seed ^ trial)
-    payloads = None
-    if config.payload_policy is PayloadPolicy.FIXED_BASIS:
-        payloads = _fixed_payloads(config.n)
-    records = []
     base = trial * len(config.slots)
-    for k, slot_type in enumerate(config.slots):
-        if slot_type is SlotType.UPLINK:
-            report = run_uplink_slot(config.n, payloads, rng)
-        else:
-            report = run_downlink_slot(config.n, payloads, rng)
-        records.append(report.to_record(base + k))
-    return records
+    return [
+        run_slot(config.n, slot_type, None, rng).to_record(base + k)
+        for k, slot_type in enumerate(config.slots)
+    ]
 
 
 def _trial_worker(args: tuple[SessionConfig, int]) -> list[dict]:
@@ -163,7 +151,7 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
 
 
 def _record_bits(record: dict) -> int:
-    return sum(2 if m["type"] == "report" else 3 for m in record["messages"])
+    return sum(_BIT_COUNT[m["type"]] for m in record["messages"])
 
 
 def _record_shape(record: dict) -> tuple:
@@ -304,6 +292,7 @@ def enumerate_slot_branches(
         if len(winners) != 1:
             raise ProtocolError(f"non one-hot contention branch: {w_out}")
         winner = winners[0]
+        pair = ContentionOutcome.for_slot(slot_type, winner)
         for anc, anc_prob, _ in enumerate_branches(
             lam_post, layout.ancilla_qubits, [comp] * layout.m
         ):
@@ -311,8 +300,6 @@ def enumerate_slot_branches(
                 raise ProtocolError(f"ancilla branch {anc} does not name winner {winner}")
             pseq = build_p_sequence(winner, n)
             worked = apply_up(prepare_ghz(n + 1), pseq)
-            send_qubit = winner if slot_type is SlotType.UPLINK else 0
-            recv_qubit = 0 if slot_type is SlotType.UPLINK else winner
             losers = pseq.losers
             for g_out, g_prob, ghz_post in enumerate_branches(
                 worked, losers, [comp] * len(losers)
@@ -322,21 +309,16 @@ def enumerate_slot_branches(
                 for g in g_out:
                     parity ^= g
                 joint = tensor_product(ghz_post, payload)
-                joint = apply_cnot(joint, n + 1, send_qubit)
+                joint = apply_cnot(joint, n + 1, pair.transmitter)
                 joint = apply_single(joint, n + 1, HADAMARD)
                 for (q_star, g_star), t_prob, post in enumerate_branches(
-                    joint, [n + 1, send_qubit], [comp, comp]
+                    joint, [n + 1, pair.transmitter], [comp, comp]
                 ):
-                    final = teleport_receive(post, recv_qubit, q_star, g_star, parity)
+                    final = teleport_receive(post, pair.receiver, q_star, g_star, parity)
                     pinned = dict(g_map)
-                    pinned[send_qubit] = g_star
+                    pinned[pair.transmitter] = g_star
                     pinned[n + 1] = q_star
-                    vectors = [
-                        payload.amplitudes if q == recv_qubit
-                        else ((1.0, 0.0) if pinned[q] == 0 else (0.0, 1.0))
-                        for q in range(n + 2)
-                    ]
-                    delivered = fidelity(final, product_state(vectors))
+                    delivered = delivered_fidelity(final, pair.receiver, payload, pinned)
                     branches.append(
                         SlotBranch(
                             probability=w_prob * anc_prob * g_prob * t_prob,
@@ -434,10 +416,9 @@ def collect_traffic_shapes(
     n: int, slot_type: SlotType, max_seeds: int = 512
 ) -> dict[int, set[tuple]]:
     """Observed message shapes keyed by winner, scanning seeds until all n winners appear."""
-    run = run_uplink_slot if slot_type is SlotType.UPLINK else run_downlink_slot
     shapes: dict[int, set[tuple]] = {}
     for seed in range(max_seeds):
-        report: SlotReport = run(n, None, RandomSource(seed))
+        report = run_slot(n, slot_type, None, RandomSource(seed))
         shapes.setdefault(report.outcome.winner, set()).add(message_shape(report.messages))
         if len(shapes) == n:
             break

@@ -1,12 +1,15 @@
 """Golden command-line outputs: seeded invocations must reproduce stored stdout.
 
-The files in ``golden/`` were captured from the dense state-vector simulator
-that the support-only storage replaced, so they pin the whole random stream
-(one draw per measurement, in order) and every printed digit across that
-change. ``anonymity``'s ``max_deviation`` is float noise around an exact 0
-and differs in its last bits between the two storages; it is compared as a
-value at most 1e-12, every other byte exactly. To regenerate a file, run the
-invocation with ``python -m entaccess`` and redirect stdout.
+The first seven files in ``golden/`` were captured from the dense
+state-vector simulator that the support-only storage replaced, so they pin
+the whole random stream (one draw per measurement, in order) and every
+printed digit across that change. ``anonymity --n 4``'s ``max_deviation`` is
+float noise around an exact 0 and differs in its last bits between the two
+storages; it is compared as a value at most 1e-12, every other byte exactly.
+The other six were captured from the separate uplink and downlink slot
+bodies that ``run_slot`` replaced, and cover the circuit export, the csv
+formats, the session stats document and a jsonl slot. To regenerate a file,
+run the invocation with ``python -m entaccess`` and redirect stdout.
 """
 
 import re
@@ -26,6 +29,12 @@ INVOCATIONS = {
     "uplink_n9": "uplink --n 9 --seed 11",
     "downlink_n10": "downlink --n 10 --seed 12",
     "anonymity_n4": "anonymity --n 4",
+    "export_circuit_n6": "export-circuit --n 6",
+    "session_n5_csv": "session --n 5 --seed 4 --trials 40 --format csv",
+    "session_n5_json": "session --n 5 --seed 4 --trials 40",
+    "fairness_n6_csv": "fairness --n 6 --seed 2 --trials 300 --format csv",
+    "anonymity_n2_csv": "anonymity --n 2 --format csv",
+    "uplink_n3_jsonl": "uplink --n 3 --seed 1 --format jsonl",
 }
 
 _DEVIATION = re.compile(r'"max_deviation": ([^,}]+)')

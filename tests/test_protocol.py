@@ -1,7 +1,11 @@
 """Contention, ancilla decoding, teleportation, and full slot runs."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from entaccess.circuits import prepare_leader_aware
 from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS
@@ -18,10 +22,12 @@ from entaccess.protocol import (
     message_bits,
     message_shape,
     run_downlink_slot,
+    run_slot,
     run_uplink_slot,
     teleport_receive,
     teleport_send,
 )
+from entaccess.session import enumerate_slot_branches
 from entaccess.statevector import (
     Basis,
     HADAMARD,
@@ -214,6 +220,16 @@ class TestContentionOutcome:
         with pytest.raises(ValueError, match="differ"):
             ContentionOutcome(SlotType.UPLINK, transmitter=0, receiver=0)
 
+    def test_for_slot_picks_the_pair(self):
+        up = ContentionOutcome.for_slot(SlotType.UPLINK, 3)
+        down = ContentionOutcome.for_slot(SlotType.DOWNLINK, 3)
+        assert (up.transmitter, up.receiver) == (3, 0)
+        assert (down.transmitter, down.receiver) == (0, 3)
+
+    def test_for_slot_rejects_slot_type_strings(self):
+        with pytest.raises(ValueError, match="'uplink'"):
+            ContentionOutcome.for_slot("uplink", 1)
+
 
 class TestMessageHelpers:
     def test_bit_accounting(self):
@@ -241,10 +257,12 @@ class TestUplinkSlot:
     def test_accepts_bare_seed(self):
         assert run_uplink_slot(2, None, 7).teleport_fidelity >= 1.0 - 1e-10
 
-    def test_fixed_payloads(self):
+    @pytest.mark.parametrize("slot_type", list(SlotType), ids=lambda st: st.value)
+    def test_fixed_payloads(self, slot_type):
         payloads = [StateVector.qubit(0.0, 1.0) for _ in range(3)]
-        report = run_uplink_slot(3, payloads, RandomSource(2))
-        assert report.teleport_fidelity >= 1.0 - 1e-10
+        for seed in range(5):
+            report = run_slot(3, slot_type, payloads, RandomSource(seed))
+            assert report.teleport_fidelity >= 1.0 - 1e-10
 
     def test_message_log_shape(self):
         report = run_uplink_slot(4, None, RandomSource(5))
@@ -340,12 +358,47 @@ class TestLargerNetworks:
 class TestTrafficShape:
     @pytest.mark.parametrize("slot_type", [SlotType.UPLINK, SlotType.DOWNLINK])
     def test_shape_is_function_of_n_only(self, slot_type):
-        run = run_uplink_slot if slot_type is SlotType.UPLINK else run_downlink_slot
         shapes = set()
         winners = set()
         for seed in range(40):
-            report = run(3, None, RandomSource(seed))
+            report = run_slot(3, slot_type, None, RandomSource(seed))
             shapes.add(message_shape(report.messages))
             winners.add(report.outcome.winner)
         assert len(winners) == 3
         assert len(shapes) == 1
+
+
+class TestRunSlot:
+    def test_rejects_slot_type_strings(self):
+        with pytest.raises(ValueError, match="'downlink'"):
+            run_slot(3, "downlink", None, RandomSource(0))
+
+    @given(
+        n=st.integers(min_value=1, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        slot_type=st.sampled_from(list(SlotType)),
+        theta=st.floats(min_value=0.0, max_value=math.pi),
+        phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_sampled_slot_is_an_oracle_branch(self, n, seed, slot_type, theta, phi):
+        payload = StateVector.qubit(
+            math.cos(theta / 2), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)
+        )
+        report = run_slot(n, slot_type, [payload] * n, seed)
+        winner = report.outcome.winner
+        reports = {m.sender: m.payload for m in report.messages[:n]}
+        losers_g = {node: r.g for node, r in reports.items() if node != winner}
+        if slot_type is SlotType.UPLINK:
+            q_star, g_star = reports[winner].q, reports[winner].g
+        else:
+            broadcast = report.messages[-1].payload
+            q_star, g_star = broadcast.q_star, broadcast.g0
+        matches = [
+            b
+            for b in enumerate_slot_branches(n, slot_type, payload)
+            if (b.winner, b.w_outcomes, b.ancilla, b.loser_outcomes, b.q_star, b.g_star)
+            == (winner, report.w_outcomes, report.ancilla, losers_g, q_star, g_star)
+        ]
+        assert len(matches) == 1
+        assert matches[0].delivered_fidelity == pytest.approx(report.teleport_fidelity, abs=1e-12)

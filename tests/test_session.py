@@ -6,7 +6,6 @@ from scipy import stats as scipy_stats
 import entaccess.protocol
 from entaccess.protocol import SlotType
 from entaccess.session import (
-    PayloadPolicy,
     SessionConfig,
     anonymity_experiment,
     collect_traffic_shapes,
@@ -29,6 +28,10 @@ class TestSessionConfig:
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
             SessionConfig(n=2, seed=0, slots=())
+
+    def test_rejects_slot_type_strings(self):
+        with pytest.raises(ValueError, match="'uplink'"):
+            SessionConfig(n=3, seed=0, slots=("uplink",))
 
 
 class TestRunSession:
@@ -73,13 +76,6 @@ class TestRunSession:
         stats, _ = run_session(config)
         assert stats.fidelity_min >= 1.0 - 1e-10
         assert stats.fidelity_max <= 1.0 + 1e-10
-
-    def test_fixed_basis_payload_policy(self):
-        config = SessionConfig(
-            n=2, seed=3, trials=5, payload_policy=PayloadPolicy.FIXED_BASIS
-        )
-        stats, _ = run_session(config)
-        assert stats.fidelity_min >= 1.0 - 1e-10
 
     def test_winner_histograms_near_uniform(self):
         config = SessionConfig(n=4, seed=17, trials=500)
@@ -182,6 +178,10 @@ class TestEnumerator:
                 parity ^= g
             assert parity == branch.parity
 
+    def test_rejects_slot_type_strings(self):
+        with pytest.raises(ValueError, match="'uplink'"):
+            enumerate_slot_branches(2, "uplink")
+
 
 class TestAnonymity:
     def test_three_nodes_uniform_posterior(self):
@@ -217,3 +217,7 @@ class TestTrafficShapes:
         assert set(shapes) == {1, 2, 3}
         distinct = {shape for per_winner in shapes.values() for shape in per_winner}
         assert len(distinct) == 1
+
+    def test_rejects_slot_type_strings(self):
+        with pytest.raises(ValueError, match="'uplink'"):
+            collect_traffic_shapes(3, "uplink")
