@@ -71,6 +71,8 @@ class ContentionOutcome:
     receiver: int
 
     def __post_init__(self) -> None:
+        if not isinstance(self.slot_type, SlotType):
+            raise ValueError(f"slot type must be a SlotType, got {self.slot_type!r}")
         if self.transmitter == self.receiver:
             raise ValueError("transmitter and receiver must differ")
         if self.slot_type is SlotType.UPLINK and self.receiver != ORCHESTRATOR:
@@ -88,9 +90,7 @@ class ContentionOutcome:
         """The slot's pair: the winner transmits in uplink and receives in downlink."""
         if slot_type is SlotType.UPLINK:
             return cls(slot_type, transmitter=winner, receiver=ORCHESTRATOR)
-        if slot_type is SlotType.DOWNLINK:
-            return cls(slot_type, transmitter=ORCHESTRATOR, receiver=winner)
-        raise ValueError(f"slot type must be a SlotType, got {slot_type!r}")
+        return cls(slot_type, transmitter=ORCHESTRATOR, receiver=winner)
 
     def role_of(self, node: int) -> Role:
         if node == self.transmitter:

@@ -2,9 +2,8 @@
 
 A session is a seeded sequence of trials; each trial regenerates fresh GHZ
 and leader-aware resources for every slot of a configurable uplink/downlink
-pattern and appends one structured trace record per slot. Trials use
-derived seeds (seed XOR trial index), so they can run in parallel while the
-merged trace stays byte-identical to a serial run.
+pattern and appends one structured trace record per slot. Trials can run
+in parallel while the merged trace stays byte-identical to a serial run.
 
 Also here: the exhaustive branch enumerator, which walks every measurement
 branch of a slot using only the simulator primitives. It is the oracle the
@@ -16,6 +15,8 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable, TypeVar
 
 from scipy import stats as _scipy_stats
 
@@ -23,13 +24,13 @@ from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence
 from .protocol import (
     ContentionOutcome,
-    EndNodeReport,
-    OrchestratorBroadcast,
     ProtocolError,
+    SlotReport,
     SlotType,
     contend,
     decode_ancilla,
     delivered_fidelity,
+    message_bits,
     message_shape,
     run_slot,
     teleport_receive,
@@ -47,12 +48,11 @@ from .statevector import (
 
 DEFAULT_SLOT_PATTERN = (SlotType.DOWNLINK, SlotType.UPLINK)
 
+T = TypeVar("T")
+
 # Generic probe payload for exhaustive checks: unequal magnitudes catch bit
 # flips, the complex phase catches sign errors.
 _PROBE_PAYLOAD = StateVector.qubit(0.6, 0.8j)
-
-# Wire size of each message, keyed by its "type" in a slot trace record.
-_BIT_COUNT = {"report": EndNodeReport.BIT_COUNT, "broadcast": OrchestratorBroadcast.BIT_COUNT}
 
 
 @dataclass(frozen=True)
@@ -112,22 +112,26 @@ class SessionStats:
         }
 
 
-def _run_trial(config: SessionConfig, trial: int) -> list[dict]:
-    rng = RandomSource(config.seed ^ trial)
-    base = trial * len(config.slots)
-    return [
-        run_slot(config.n, slot_type, None, rng).to_record(base + k)
-        for k, slot_type in enumerate(config.slots)
-    ]
+def _per_trial(work: Callable[[int], T], seed: int, trials: int, jobs: int) -> list[T]:
+    """``work(trial_seed)`` for every trial, returned in trial order.
+
+    Trial ``t`` is seeded with ``seed`` XOR ``t``, so the results do not
+    depend on ``jobs``; ``jobs`` > 1 spreads the trials over that many processes.
+    """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    trial_seeds = [seed ^ t for t in range(trials)]
+    if jobs == 1 or trials == 1:
+        return [work(s) for s in trial_seeds]
+    # About eight tasks per worker, so per-task pickling stays small.
+    chunksize = max(1, trials // (jobs * 8))
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(work, trial_seeds, chunksize=chunksize))
 
 
-def _trial_worker(args: tuple[SessionConfig, int]) -> list[dict]:
-    return _run_trial(*args)
-
-
-def _chunksize(trials: int, jobs: int) -> int:
-    """Trials per pool task: about eight tasks per worker, so per-task pickling stays small."""
-    return max(1, trials // (jobs * 8))
+def _run_trial(n: int, slots: tuple[SlotType, ...], trial_seed: int) -> list[SlotReport]:
+    rng = RandomSource(trial_seed)
+    return [run_slot(n, slot_type, None, rng) for slot_type in slots]
 
 
 def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, list[dict]]:
@@ -136,47 +140,30 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
     ``jobs`` > 1 distributes trials over processes; the trace is merged in
     trial order, so the output does not depend on the worker count.
     """
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    trial_args = [(config, t) for t in range(config.trials)]
-    if jobs == 1 or config.trials == 1:
-        per_trial = [_run_trial(*a) for a in trial_args]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_trial = list(
-                pool.map(_trial_worker, trial_args, chunksize=_chunksize(config.trials, jobs))
-            )
-    records = [rec for chunk in per_trial for rec in chunk]
-    return _aggregate(config, records), records
+    per_trial = _per_trial(
+        partial(_run_trial, config.n, config.slots), config.seed, config.trials, jobs
+    )
+    reports = [report for trial in per_trial for report in trial]
+    return _aggregate(config, reports), [r.to_record(i) for i, r in enumerate(reports)]
 
 
-def _record_bits(record: dict) -> int:
-    return sum(_BIT_COUNT[m["type"]] for m in record["messages"])
-
-
-def _record_shape(record: dict) -> tuple:
-    return tuple((m["from"], m["to"], m["type"]) for m in record["messages"])
-
-
-def _aggregate(config: SessionConfig, records: list[dict]) -> SessionStats:
+def _aggregate(config: SessionConfig, reports: list[SlotReport]) -> SessionStats:
     slot_types = [st.value for st in dict.fromkeys(config.slots)]
     winner_hist = {st: {node: 0 for node in range(1, config.n + 1)} for st in slot_types}
-    slot_counts = {st: 0 for st in slot_types}
     bits: dict[str, set[int]] = {st: set() for st in slot_types}
     shapes: dict[str, set[tuple]] = {st: set() for st in slot_types}
     fidelities = []
-    for rec in records:
-        st = rec["slot_type"]
-        slot_counts[st] += 1
-        winner_hist[st][rec["winner"]] += 1
-        bits[st].add(_record_bits(rec))
-        shapes[st].add(_record_shape(rec))
-        fidelities.append(rec["fidelity"])
+    for report in reports:
+        st = report.outcome.slot_type.value
+        winner_hist[st][report.outcome.winner] += 1
+        bits[st].add(message_bits(report.messages))
+        shapes[st].add(message_shape(report.messages))
+        fidelities.append(report.teleport_fidelity)
 
     chi_square: dict[str, tuple[float, float] | None] = {}
     for st in slot_types:
         counts = list(winner_hist[st].values())
-        if config.n < 2 or slot_counts[st] == 0:
+        if config.n < 2:
             chi_square[st] = None
         else:
             stat, p = _scipy_stats.chisquare(counts)
@@ -186,12 +173,12 @@ def _aggregate(config: SessionConfig, records: list[dict]) -> SessionStats:
     for st in slot_types:
         if len(bits[st]) > 1:
             raise ProtocolError(f"classical bit budget varied across {st} slots: {bits[st]}")
-        classical_bits[st] = bits[st].pop() if bits[st] else 0
+        classical_bits[st] = bits[st].pop()
 
     return SessionStats(
         n=config.n,
         trials=config.trials,
-        slot_counts=slot_counts,
+        slot_counts={st: sum(hist.values()) for st, hist in winner_hist.items()},
         winner_hist=winner_hist,
         chi_square=chi_square,
         fidelity_min=min(fidelities),
@@ -222,8 +209,7 @@ class FairnessResult:
         }
 
 
-def _contention_winner(args: tuple[int, int]) -> int:
-    n, trial_seed = args
+def _contention_winner(n: int, trial_seed: int) -> int:
     winner, _, _ = contend(prepare_leader_aware(n), RandomSource(trial_seed))
     return winner
 
@@ -231,25 +217,14 @@ def _contention_winner(args: tuple[int, int]) -> int:
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:
     """Repeated contention; chi-square of the winner histogram against uniform.
 
-    Trials use derived seeds (seed XOR trial index), so the histogram does
-    not depend on ``jobs``.
+    The histogram does not depend on ``jobs``.
     """
     if n < 2:
         raise ValueError("fairness needs at least two contending end-nodes")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    trial_args = [(n, seed ^ trial) for trial in range(trials)]
-    if jobs == 1:
-        winners = [_contention_winner(a) for a in trial_args]
-    else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            winners = list(
-                pool.map(_contention_winner, trial_args, chunksize=_chunksize(trials, jobs))
-            )
     histogram = {node: 0 for node in range(1, n + 1)}
-    for winner in winners:
+    for winner in _per_trial(partial(_contention_winner, n), seed, trials, jobs):
         histogram[winner] += 1
     stat, p = _scipy_stats.chisquare(list(histogram.values()))
     return FairnessResult(n, trials, seed, histogram, float(stat), float(p))

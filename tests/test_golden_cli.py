@@ -8,8 +8,10 @@ float noise around an exact 0 and differs in its last bits between the two
 storages; it is compared as a value at most 1e-12, every other byte exactly.
 The other six were captured from the separate uplink and downlink slot
 bodies that ``run_slot`` replaced, and cover the circuit export, the csv
-formats, the session stats document and a jsonl slot. To regenerate a file,
-run the invocation with ``python -m entaccess`` and redirect stdout.
+formats, the session stats document and a jsonl slot. ``session_n5_json``
+and ``fairness_n8`` are also run with ``--jobs 2`` against the same files,
+so the process-pool path is pinned to the serial output. To regenerate a
+file, run the invocation with ``python -m entaccess`` and redirect stdout.
 """
 
 import re
@@ -56,3 +58,9 @@ def test_matches_golden_output(capsys, name):
         out = _DEVIATION.sub('"max_deviation": _', out)
         expected = _DEVIATION.sub('"max_deviation": _', expected)
     assert out == expected
+
+
+@pytest.mark.parametrize("name", ["fairness_n8", "session_n5_json"])
+def test_pool_matches_golden_output(capsys, name):
+    out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "2"])
+    assert out == (GOLDEN / f"{name}.txt").read_text()

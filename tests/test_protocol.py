@@ -230,6 +230,10 @@ class TestContentionOutcome:
         with pytest.raises(ValueError, match="'uplink'"):
             ContentionOutcome.for_slot("uplink", 1)
 
+    def test_rejects_slot_type_strings(self):
+        with pytest.raises(ValueError, match="'uplink'"):
+            ContentionOutcome("uplink", 1, 0)
+
 
 class TestMessageHelpers:
     def test_bit_accounting(self):

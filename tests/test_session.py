@@ -1,10 +1,13 @@
 """Session driver, fairness and anonymity experiments, branch enumerator."""
 
+import dataclasses
+
 import pytest
 from scipy import stats as scipy_stats
 
 import entaccess.protocol
-from entaccess.protocol import SlotType
+import entaccess.session
+from entaccess.protocol import ProtocolError, SlotType
 from entaccess.session import (
     SessionConfig,
     anonymity_experiment,
@@ -61,15 +64,47 @@ class TestRunSession:
 
     def test_trace_independent_of_job_count(self):
         config = SessionConfig(n=3, seed=2, trials=8)
-        _, serial = run_session(config, jobs=1)
-        _, parallel = run_session(config, jobs=4)
-        assert serial == parallel
+        assert run_session(config, jobs=1) == run_session(config, jobs=4)
 
     def test_classical_bit_budget(self):
         config = SessionConfig(n=4, seed=1, trials=5)
         stats, _ = run_session(config)
         assert stats.classical_bits == {"downlink": 11, "uplink": 8}
         assert stats.traffic_uniform
+
+    @staticmethod
+    def _tamper_first(monkeypatch, slot_type, change):
+        """Make ``run_slot`` apply ``change`` to the first report of ``slot_type``."""
+        real_run_slot = entaccess.session.run_slot
+        pending = [True]
+
+        def tampering_run_slot(*args):
+            report = real_run_slot(*args)
+            if report.outcome.slot_type is slot_type and pending:
+                pending.pop()
+                return change(report)
+            return report
+
+        monkeypatch.setattr(entaccess.session, "run_slot", tampering_run_slot)
+
+    def test_varying_bit_budget_raises(self, monkeypatch):
+        self._tamper_first(
+            monkeypatch,
+            SlotType.DOWNLINK,
+            lambda r: dataclasses.replace(r, messages=r.messages[:-1]),
+        )
+        with pytest.raises(ProtocolError, match="downlink"):
+            run_session(SessionConfig(n=4, seed=1, trials=3), jobs=1)
+
+    def test_reordered_traffic_is_not_uniform(self, monkeypatch):
+        self._tamper_first(
+            monkeypatch,
+            SlotType.UPLINK,
+            lambda r: dataclasses.replace(r, messages=r.messages[::-1]),
+        )
+        stats, _ = run_session(SessionConfig(n=4, seed=1, trials=3), jobs=1)
+        assert stats.traffic_uniform is False
+        assert stats.classical_bits == {"downlink": 11, "uplink": 8}
 
     def test_fidelity_aggregates(self):
         config = SessionConfig(n=2, seed=3, trials=20)
@@ -115,6 +150,19 @@ class TestRunSession:
         config = SessionConfig(n=2, seed=7, trials=4)
         stats, _ = run_session(config)
         json.dumps(stats.to_dict())  # must not raise
+
+
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda: run_session(SessionConfig(n=3, seed=0, trials=2), jobs=0),
+        lambda: fairness_experiment(3, 10, 0, jobs=0),
+    ],
+    ids=["run_session", "fairness_experiment"],
+)
+def test_rejects_zero_jobs(experiment):
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        experiment()
 
 
 class TestFairness:
