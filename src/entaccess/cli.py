@@ -211,13 +211,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slots", type=_slot_pattern, default=DEFAULT_SLOT_PATTERN,
                    help="slot pattern, e.g. 'du' or 'downlink,uplink' (default du)")
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for trials (output independent of this)")
+                   help="worker processes for trials, capped at the CPU count "
+                        "(output independent of this)")
     p.set_defaults(func=_cmd_session, formats=FORMATS)
 
     p = sub.add_parser("fairness", help="winner-histogram uniformity experiment")
     add_common(p, trials=True)
     p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for trials (output independent of this)")
+                   help="worker processes for trials, capped at the CPU count "
+                        "(output independent of this)")
     p.set_defaults(func=_cmd_fairness, formats=("json", "csv"))
 
     p = sub.add_parser("anonymity", help="exhaustive winner-anonymity check (n <= 4)")

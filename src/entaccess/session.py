@@ -4,6 +4,9 @@ A session is a seeded sequence of trials; each trial regenerates fresh GHZ
 and leader-aware resources for every slot of a configurable uplink/downlink
 pattern and appends one structured trace record per slot. Trials can run
 in parallel while the merged trace stays byte-identical to a serial run.
+The worker processes are capped at the CPU count, forked on the first
+parallel call and kept for the life of the process; being forked then,
+they do not see module functions monkeypatched later.
 
 Also here: the exhaustive branch enumerator, which walks every measurement
 branch of a slot using only the simulator primitives. It is the oracle the
@@ -13,7 +16,9 @@ branch, and winner-identity posteriors for the anonymity checks).
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TypeVar
@@ -112,21 +117,44 @@ class SessionStats:
         }
 
 
+# Worker count and pool that _per_trial keeps for the life of each process,
+# keyed by pid. A forked child finds its parent's pool under another pid, so
+# it never uses that pool, nor drops it and runs the parent's callbacks.
+_pools: dict[int, tuple[int, ProcessPoolExecutor]] = {}
+
+
 def _per_trial(work: Callable[[int], T], seed: int, trials: int, jobs: int) -> list[T]:
     """``work(trial_seed)`` for every trial, returned in trial order.
 
     Trial ``t`` is seeded with ``seed`` XOR ``t``, so the results do not
-    depend on ``jobs``; ``jobs`` > 1 spreads the trials over that many processes.
+    depend on ``jobs``. ``jobs`` > 1 spreads the trials over
+    ``min(jobs, os.cpu_count())`` processes. The pool is forked on first use
+    and kept for the process: later calls with the same worker count reuse
+    it, another count replaces it, and a pool inherited from a parent
+    process is never used. Its workers therefore run ``work`` as the module
+    stood when they were forked, not under later monkeypatches. If a worker
+    dies, the call raises ``BrokenProcessPool`` and the next call starts a
+    fresh pool.
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     trial_seeds = [seed ^ t for t in range(trials)]
-    if jobs == 1 or trials == 1:
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1 or trials == 1:
         return [work(s) for s in trial_seeds]
     # About eight tasks per worker, so per-task pickling stays small.
-    chunksize = max(1, trials // (jobs * 8))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(work, trial_seeds, chunksize=chunksize))
+    chunksize = max(1, trials // (workers * 8))
+    pid = os.getpid()
+    cached = _pools.get(pid)
+    if cached is None or cached[0] != workers:
+        if cached is not None:
+            cached[1].shutdown()
+        cached = _pools[pid] = (workers, ProcessPoolExecutor(max_workers=workers))
+    try:
+        return list(cached[1].map(work, trial_seeds, chunksize=chunksize))
+    except BrokenProcessPool:
+        del _pools[pid]
+        raise
 
 
 def _run_trial(n: int, slots: tuple[SlotType, ...], trial_seed: int) -> list[SlotReport]:

@@ -1,6 +1,9 @@
 """Command-line interface: dispatch, formats, exit codes, reproducibility."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +102,17 @@ class TestSession:
         _, serial, _ = run_cli(capsys, argv)
         _, parallel, _ = run_cli(capsys, argv + ["--jobs", "3"])
         assert serial == parallel
+
+
+def test_interpreter_exits_with_a_live_pool():
+    """The kept worker pool does not stop a CLI process from exiting."""
+    done = subprocess.run(
+        [sys.executable, "-m", "entaccess", "fairness", "--n", "8", "--seed", "5",
+         "--trials", "500", "--jobs", "2"],
+        capture_output=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (Path(__file__).parent / "golden" / "fairness_n8.txt").read_bytes()
 
 
 class TestFairness:

@@ -1,6 +1,11 @@
 """Session driver, fairness and anonymity experiments, branch enumerator."""
 
 import dataclasses
+import os
+import signal
+import time
+from concurrent.futures.process import BrokenProcessPool
+from types import SimpleNamespace
 
 import pytest
 from scipy import stats as scipy_stats
@@ -163,6 +168,84 @@ class TestRunSession:
 def test_rejects_zero_jobs(experiment):
     with pytest.raises(ValueError, match="jobs must be >= 1"):
         experiment()
+
+
+def _worker_pid(trial_seed: int) -> int:
+    # Long enough that every worker of a small pool takes a task.
+    time.sleep(0.02)
+    return os.getpid()
+
+
+def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.01)
+    raise AssertionError(f"process {pid} still exists after {timeout} s")
+
+
+def _close_pools() -> None:
+    for _, pool in entaccess.session._pools.values():
+        pool.shutdown()
+    entaccess.session._pools.clear()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs, and no cached worker pool before or after the test."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    _close_pools()
+    yield
+    _close_pools()
+
+
+class TestWorkerPool:
+    def test_successive_calls_reuse_the_workers(self, two_cpus):
+        first = entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        second = entaccess.session._per_trial(_worker_pid, 1, 16, 2)
+        assert len(set(first)) == 2
+        assert set(second) == set(first)
+        assert os.getpid() not in first
+
+    def test_new_worker_count_replaces_the_pool(self, two_cpus, monkeypatch):
+        old = set(entaccess.session._per_trial(_worker_pid, 0, 16, 2))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        new = set(entaccess.session._per_trial(_worker_pid, 0, 24, 3))
+        assert not old & new
+        for pid in old:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+
+    def test_dead_worker_fails_one_call_then_pool_restarts(self, two_cpus):
+        victim = entaccess.session._per_trial(_worker_pid, 0, 16, 2)[0]
+        os.kill(victim, signal.SIGKILL)
+        _wait_reaped(victim)  # the pool has noticed the death
+        with pytest.raises(BrokenProcessPool):
+            entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
+
+    def test_pool_of_another_pid_is_not_used(self, two_cpus, monkeypatch):
+        entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        inherited = entaccess.session._pools[os.getpid()][1]
+        # Only the session module sees the new pid: multiprocessing, which
+        # checks parent pids when it joins workers, must still see the real one.
+        child_os = SimpleNamespace(getpid=lambda: -1, cpu_count=os.cpu_count)
+        monkeypatch.setattr(entaccess.session, "os", child_os)
+        assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
+        assert entaccess.session._pools[-1][1] is not inherited
+
+    def test_workers_capped_at_cpu_count(self, two_cpus):
+        pids = set(entaccess.session._per_trial(_worker_pid, 0, 32, 64))
+        assert len(pids) == 2
+        assert entaccess.session._pools[os.getpid()][0] == 2
+
+    def test_unknown_cpu_count_runs_serially(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert set(entaccess.session._per_trial(_worker_pid, 0, 4, 64)) == {os.getpid()}
+        assert not entaccess.session._pools
 
 
 class TestFairness:
