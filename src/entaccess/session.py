@@ -118,8 +118,10 @@ class SessionStats:
 
 
 # Worker count and pool that _per_trial keeps for the life of each process,
-# keyed by pid. A forked child finds its parent's pool under another pid, so
-# it never uses that pool, nor drops it and runs the parent's callbacks.
+# keyed by the pid that created it. A forked child finds its parent's pool
+# under another pid and leaves it alone: using it would share the parent's
+# queues, and dropping it would fire the parent pool's wake-up callback (a
+# lock and a pipe copied from the parent) in the child.
 _pools: dict[int, tuple[int, ProcessPoolExecutor]] = {}
 
 

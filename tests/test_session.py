@@ -212,8 +212,11 @@ class TestWorkerPool:
 
     def test_new_worker_count_replaces_the_pool(self, two_cpus, monkeypatch):
         old = set(entaccess.session._per_trial(_worker_pid, 0, 16, 2))
+        # Held here, so that garbage collection cannot be what stops its workers.
+        old_pool = entaccess.session._pools[os.getpid()][1]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         new = set(entaccess.session._per_trial(_worker_pid, 0, 24, 3))
+        assert entaccess.session._pools[os.getpid()][1] is not old_pool
         assert not old & new
         for pid in old:
             with pytest.raises(ProcessLookupError):
