@@ -8,6 +8,10 @@ The worker processes are capped at the CPU count, forked on the first
 parallel call and kept for the life of the process; being forked then,
 they do not see module functions monkeypatched later.
 
+Chi-squares are derived from the stored winner histograms when they are
+read, and only then is scipy imported: output that reports none (slot
+runs, traces, csv histograms, anonymity) never loads it.
+
 Also here: the exhaustive branch enumerator, which walks every measurement
 branch of a slot using only the simulator primitives. It is the oracle the
 sampled protocol path is verified against (delivery fidelity on every
@@ -22,8 +26,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TypeVar
-
-from scipy import stats as _scipy_stats
 
 from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence
@@ -60,6 +62,14 @@ T = TypeVar("T")
 _PROBE_PAYLOAD = StateVector.qubit(0.6, 0.8j)
 
 
+def _chisquare(counts: list[int]) -> tuple[float, float]:
+    """(statistic, p-value) of ``counts`` against the uniform distribution."""
+    from scipy import stats  # about a second to import; only readers of a chi-square pay it
+
+    stat, p = stats.chisquare(counts)
+    return float(stat), float(p)
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     n: int
@@ -72,6 +82,7 @@ class SessionConfig:
             raise ValueError("need at least one end-node")
         if self.trials < 1:
             raise ValueError("need at least one trial")
+        RandomSource.check_seed(self.seed)
         if not self.slots:
             raise ValueError("slot pattern must not be empty")
         for slot_type in self.slots:
@@ -87,12 +98,19 @@ class SessionStats:
     trials: int
     slot_counts: dict[str, int]
     winner_hist: dict[str, dict[int, int]]
-    chi_square: dict[str, tuple[float, float] | None]
     fidelity_min: float
     fidelity_mean: float
     fidelity_max: float
     classical_bits: dict[str, int]
     traffic_uniform: bool
+
+    @property
+    def chi_square(self) -> dict[str, tuple[float, float] | None]:
+        """Per slot type, (statistic, p-value) of the winner histogram; None for n < 2."""
+        return {
+            st: None if self.n < 2 else _chisquare(list(hist.values()))
+            for st, hist in self.winner_hist.items()
+        }
 
     def to_dict(self) -> dict:
         return {
@@ -190,15 +208,6 @@ def _aggregate(config: SessionConfig, reports: list[SlotReport]) -> SessionStats
         shapes[st].add(message_shape(report.messages))
         fidelities.append(report.teleport_fidelity)
 
-    chi_square: dict[str, tuple[float, float] | None] = {}
-    for st in slot_types:
-        counts = list(winner_hist[st].values())
-        if config.n < 2:
-            chi_square[st] = None
-        else:
-            stat, p = _scipy_stats.chisquare(counts)
-            chi_square[st] = (float(stat), float(p))
-
     classical_bits = {}
     for st in slot_types:
         if len(bits[st]) > 1:
@@ -210,7 +219,6 @@ def _aggregate(config: SessionConfig, reports: list[SlotReport]) -> SessionStats
         trials=config.trials,
         slot_counts={st: sum(hist.values()) for st, hist in winner_hist.items()},
         winner_hist=winner_hist,
-        chi_square=chi_square,
         fidelity_min=min(fidelities),
         fidelity_mean=sum(fidelities) / len(fidelities),
         fidelity_max=max(fidelities),
@@ -225,8 +233,14 @@ class FairnessResult:
     trials: int
     seed: int
     histogram: dict[int, int]
-    chi_square: float
-    p_value: float
+
+    @property
+    def chi_square(self) -> float:
+        return _chisquare(list(self.histogram.values()))[0]
+
+    @property
+    def p_value(self) -> float:
+        return _chisquare(list(self.histogram.values()))[1]
 
     def to_dict(self) -> dict:
         return {
@@ -253,11 +267,11 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
         raise ValueError("fairness needs at least two contending end-nodes")
     if trials < 1:
         raise ValueError("need at least one trial")
+    RandomSource.check_seed(seed)
     histogram = {node: 0 for node in range(1, n + 1)}
     for winner in _per_trial(partial(_contention_winner, n), seed, trials, jobs):
         histogram[winner] += 1
-    stat, p = _scipy_stats.chisquare(list(histogram.values()))
-    return FairnessResult(n, trials, seed, histogram, float(stat), float(p))
+    return FairnessResult(n, trials, seed, histogram)
 
 
 @dataclass(frozen=True)

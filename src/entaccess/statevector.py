@@ -191,10 +191,15 @@ class RandomSource:
     """Deterministic stream of uniform reals; identical seed, identical stream."""
 
     def __init__(self, seed: int):
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        self.check_seed(seed)
         self.seed = seed
         self._gen = np.random.default_rng(seed)
+
+    @staticmethod
+    def check_seed(seed: int) -> None:
+        """Raise ValueError unless ``seed`` is a valid seed, i.e. non-negative."""
+        if seed < 0:
+            raise ValueError("seed must be a non-negative integer")
 
     def random(self) -> float:
         """Next uniform real in [0, 1)."""

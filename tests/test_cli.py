@@ -115,6 +115,56 @@ def test_interpreter_exits_with_a_live_pool():
     assert done.stdout == (Path(__file__).parent / "golden" / "fairness_n8.txt").read_bytes()
 
 
+# Runs in a fresh interpreter: imports entaccess (and, given arguments, runs
+# the command line on them with stdout discarded), then prints whether
+# scipy.stats was loaded.
+_SCIPY_PROBE = """
+import contextlib, io, sys
+import entaccess
+if sys.argv[1:]:
+    from entaccess.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(sys.argv[1:]) == 0
+print("scipy.stats" in sys.modules)
+"""
+
+
+def _loads_scipy_stats(argv: list[str]) -> bool:
+    done = subprocess.run(
+        [sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return {"True\n": True, "False\n": False}[done.stdout]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "",
+        "uplink --n 4 --seed 3",
+        "elect --n 4 --seed 7",
+        "anonymity --n 3",
+        "export-circuit --n 4",
+        "session --n 4 --seed 1 --trials 5 --format jsonl",
+        "session --n 4 --seed 1 --trials 5 --format csv",
+        "fairness --n 4 --seed 1 --trials 100 --format csv",
+    ],
+    ids=["import", "uplink", "elect", "anonymity", "export-circuit", "session-jsonl",
+         "session-csv", "fairness-csv"],
+)
+def test_output_without_chi_square_does_not_load_scipy(argv):
+    assert not _loads_scipy_stats(argv.split())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["session --n 4 --seed 1 --trials 5", "fairness --n 4 --seed 1 --trials 100"],
+    ids=["session", "fairness"],
+)
+def test_output_with_chi_square_loads_scipy(argv):
+    assert _loads_scipy_stats(argv.split())
+
+
 class TestFairness:
     def test_csv_rows_sum_to_trials(self, capsys):
         code, out, _ = run_cli(

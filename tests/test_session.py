@@ -41,6 +41,10 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="'uplink'"):
             SessionConfig(n=3, seed=0, slots=("uplink",))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SessionConfig(n=3, seed=-1)
+
 
 class TestRunSession:
     def test_single_node_single_slot(self):
@@ -117,6 +121,14 @@ class TestRunSession:
         assert stats.fidelity_min >= 1.0 - 1e-10
         assert stats.fidelity_max <= 1.0 + 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_chi_square_read_from_histogram(self, n, jobs):
+        stats, _ = run_session(SessionConfig(n=n, seed=n, trials=30), jobs=jobs)
+        for st, hist in stats.winner_hist.items():
+            stat, p = scipy_stats.chisquare(list(hist.values()))
+            assert stats.chi_square[st] == (float(stat), float(p))
+
     def test_winner_histograms_near_uniform(self):
         config = SessionConfig(n=4, seed=17, trials=500)
         stats, _ = run_session(config)
@@ -155,6 +167,21 @@ class TestRunSession:
         config = SessionConfig(n=2, seed=7, trials=4)
         stats, _ = run_session(config)
         json.dumps(stats.to_dict())  # must not raise
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "experiment",
+    [
+        lambda jobs: run_session(SessionConfig(n=3, seed=-1, trials=8), jobs=jobs),
+        lambda jobs: fairness_experiment(3, 8, -1, jobs=jobs),
+    ],
+    ids=["run_session", "fairness_experiment"],
+)
+def test_rejects_negative_seed_before_starting_a_pool(two_cpus, experiment, jobs):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        experiment(jobs)
+    assert not entaccess.session._pools
 
 
 @pytest.mark.parametrize(
@@ -269,6 +296,12 @@ class TestFairness:
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
             fairness_experiment(1, 100, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 6])
+    def test_chi_square_read_from_histogram(self, n):
+        result = fairness_experiment(n, 300, seed=n)
+        stat, p = scipy_stats.chisquare(list(result.histogram.values()))
+        assert (result.chi_square, result.p_value) == (float(stat), float(p))
 
     def test_histogram_sums_to_trials(self):
         result = fairness_experiment(3, 500, seed=2)
