@@ -39,6 +39,7 @@ from .protocol import (
     contend,
     decode_ancilla,
     delivered_fidelity,
+    local_view,
     message_bits,
     message_shape,
     read_ancillas,

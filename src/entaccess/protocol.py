@@ -17,7 +17,10 @@ orchestrator). A slot runs:
 Classical traffic per slot has a fixed shape: every end-node sends exactly
 one two-bit report (losers pad with dummy random bits), and in downlink the
 orchestrator answers with one three-bit broadcast. Nothing on the wire
-depends on who won.
+depends on who won. An end-node observes its own W bit and the messages
+it sends or receives: its own report and the downlink broadcast, never
+another end-node's report. ``local_view`` is the only definition of that
+view, for ``SlotReport.local_views`` and the anonymity oracle alike.
 """
 
 from __future__ import annotations
@@ -138,7 +141,11 @@ class SlotReport:
     parity: int
     teleport_fidelity: float
     messages: tuple[ClassicalMessage, ...]
-    local_views: dict[int, dict]
+
+    @property
+    def local_views(self) -> dict[int, tuple]:
+        """Each end-node's ``local_view`` of this slot, keyed by node."""
+        return {i: local_view(i, w, self.messages) for i, w in enumerate(self.w_outcomes, 1)}
 
     def to_record(self, slot_index: int) -> dict:
         """JSON-ready trace record for this slot."""
@@ -186,6 +193,12 @@ def message_shape(messages: Sequence[ClassicalMessage]) -> tuple:
         (m.sender, "broadcast" if m.recipient is None else m.recipient, m.payload.BIT_COUNT)
         for m in messages
     )
+
+
+def local_view(node: int, w: int, messages: Sequence[ClassicalMessage]) -> tuple:
+    """End-node ``node``'s view, hashable: ``(node, w, messages it sent or received)``."""
+    seen = tuple(m for m in messages if m.sender == node or m.recipient in (node, None))
+    return node, w, seen
 
 
 def contend(
@@ -280,17 +293,20 @@ def _payloads_for(n: int, payloads: Sequence[StateVector] | None, rng: RandomSou
 
 def delivered_fidelity(
     final: StateVector,
-    receiver_qubit: int,
+    outcome: ContentionOutcome,
     payload: StateVector,
-    pinned: dict[int, int],
+    loser_bits: dict[int, int],
+    q_star: int,
+    g_star: int,
 ) -> float:
     """Overlap of a finished slot register with the payload at the receiver.
 
-    Every other qubit is pinned to its measured bit: ``pinned[q]`` for each
-    qubit ``q`` of ``final`` except ``receiver_qubit``.
+    Every other qubit is pinned to its measured bit: losers to ``loser_bits``,
+    the transmitter's pair qubit to ``g_star`` and the last (payload) to ``q_star``.
     """
+    pinned = {**loser_bits, outcome.transmitter: g_star, final.num_qubits - 1: q_star}
     vectors = [
-        payload.amplitudes if q == receiver_qubit else ((1.0, 0.0), (0.0, 1.0))[pinned[q]]
+        payload.amplitudes if q == outcome.receiver else ((1.0, 0.0), (0.0, 1.0))[pinned[q]]
         for q in range(final.num_qubits)
     ]
     return fidelity(final, product_state(vectors))
@@ -343,7 +359,6 @@ def run_slot(
     # dummy; the winner sends its teleportation bits (uplink) or two random
     # padding bits, g then q, drawn in its turn (downlink).
     messages = []
-    views: dict[int, dict] = {}
     for node in range(1, n + 1):
         if node != winner:
             g, q = ext.outcomes[node], rng.bit()
@@ -351,37 +366,24 @@ def run_slot(
             g, q = g_star, q_star
         else:
             g, q = rng.bit(), rng.bit()
-        views[node] = {"w": int(node == winner), "g_sent": g, "q_sent": q}
         messages.append(ClassicalMessage(node, ORCHESTRATOR, EndNodeReport(g=g, q=q)))
     parity = 0
     for msg in messages:
         if msg.sender != winner:
             parity ^= msg.payload.g
-    views[ORCHESTRATOR] = {
-        "ancilla": ancilla,
-        "parity": parity,
-        "reports": tuple((m.sender, m.payload.g, m.payload.q) for m in messages),
-    }
-
     if not uplink:
         q_star, g_star, joint = teleport_send(joint, n + 1, ORCHESTRATOR, rng)
         broadcast = OrchestratorBroadcast(q_star=q_star, g0=g_star, parity=parity)
         messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
-        for node in range(1, n + 1):
-            views[node]["broadcast"] = (q_star, g_star, parity)
 
     final = teleport_receive(joint, outcome.receiver, q_star, g_star, parity)
-    pinned = dict(ext.outcomes)
-    pinned[outcome.transmitter] = g_star
-    pinned[n + 1] = q_star
     return SlotReport(
         outcome=outcome,
         w_outcomes=w_outcomes,
         ancilla=ancilla,
         parity=parity,
-        teleport_fidelity=delivered_fidelity(final, outcome.receiver, payload, pinned),
+        teleport_fidelity=delivered_fidelity(final, outcome, payload, ext.outcomes, q_star, g_star),
         messages=tuple(messages),
-        local_views=views,
     )
 
 

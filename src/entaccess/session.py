@@ -30,13 +30,18 @@ from typing import Callable, TypeVar
 from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence
 from .protocol import (
+    ORCHESTRATOR,
+    ClassicalMessage,
     ContentionOutcome,
+    EndNodeReport,
+    OrchestratorBroadcast,
     ProtocolError,
     SlotReport,
     SlotType,
     contend,
     decode_ancilla,
     delivered_fidelity,
+    local_view,
     message_bits,
     message_shape,
     run_slot,
@@ -288,6 +293,15 @@ class SlotBranch:
     g_star: int
     delivered_fidelity: float
 
+    def loser_view(self, loser: int, dummy: int, slot_type: SlotType) -> tuple:
+        """``local_view`` of ``loser`` on this branch when its report carries ``dummy``."""
+        report = EndNodeReport(g=self.loser_outcomes[loser], q=dummy)
+        messages = [ClassicalMessage(loser, ORCHESTRATOR, report)]
+        if slot_type is SlotType.DOWNLINK:
+            broadcast = OrchestratorBroadcast(self.q_star, self.g_star, self.parity)
+            messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
+        return local_view(loser, self.w_outcomes[loser - 1], messages)
+
 
 def enumerate_slot_branches(
     n: int, slot_type: SlotType, payload: StateVector | None = None
@@ -334,10 +348,7 @@ def enumerate_slot_branches(
                     joint, [n + 1, pair.transmitter], [comp, comp]
                 ):
                     final = teleport_receive(post, pair.receiver, q_star, g_star, parity)
-                    pinned = dict(g_map)
-                    pinned[pair.transmitter] = g_star
-                    pinned[n + 1] = q_star
-                    delivered = delivered_fidelity(final, pair.receiver, payload, pinned)
+                    delivered = delivered_fidelity(final, pair, payload, g_map, q_star, g_star)
                     branches.append(
                         SlotBranch(
                             probability=w_prob * anc_prob * g_prob * t_prob,
@@ -384,10 +395,10 @@ class AnonymityReport:
 def anonymity_experiment(n: int) -> AnonymityReport:
     """Exhaustively check that no loser's local view leaks the winner identity.
 
-    For every loser node and every complete local view it can observe (its
-    own contention outcome, its extraction bit, the dummy it sent, and the
-    downlink broadcast when present), the posterior over the winner must be
-    uniform across the other end-nodes. Reports the largest deviation found.
+    For every loser and every view ``protocol.local_view`` gives it (its W
+    bit, its report of its extraction bit and either dummy, and the downlink
+    broadcast), the posterior over the winner must be uniform across the
+    other end-nodes. Reports the largest deviation found.
     """
     if n < 1:
         raise ValueError("need at least one end-node")
@@ -397,28 +408,14 @@ def anonymity_experiment(n: int) -> AnonymityReport:
     for slot_type in (SlotType.UPLINK, SlotType.DOWNLINK):
         joint: dict[tuple, dict[int, float]] = {}
         for branch in enumerate_slot_branches(n, slot_type):
-            for loser, g_l in branch.loser_outcomes.items():
+            for loser in branch.loser_outcomes:
                 for dummy in (0, 1):
-                    if slot_type is SlotType.UPLINK:
-                        view = (loser, g_l, dummy)
-                    else:
-                        view = (
-                            loser,
-                            g_l,
-                            dummy,
-                            branch.q_star,
-                            branch.g_star,
-                            branch.parity,
-                        )
-                    dist = joint.setdefault(view, {})
-                    dist[branch.winner] = (
-                        dist.get(branch.winner, 0.0) + 0.5 * branch.probability
-                    )
+                    dist = joint.setdefault(branch.loser_view(loser, dummy, slot_type), {})
+                    dist[branch.winner] = dist.get(branch.winner, 0.0) + 0.5 * branch.probability
         max_dev = 0.0
         for view, dist in joint.items():
-            loser = view[0]
             total = sum(dist.values())
-            candidates = [k for k in range(1, n + 1) if k != loser]
+            candidates = [k for k in range(1, n + 1) if k != view[0]]
             for k in candidates:
                 posterior = dist.get(k, 0.0) / total
                 max_dev = max(max_dev, abs(posterior - 1.0 / len(candidates)))

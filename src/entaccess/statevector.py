@@ -25,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -96,7 +97,7 @@ class StateVector:
             raise ValueError("state needs at least one qubit")
         given = self._support
         if isinstance(given, Mapping):
-            support = {int(i): complex(a) for i, a in given.items() if a != 0}
+            support = {_basis_index(i): complex(a) for i, a in given.items() if a != 0}
             for i in support:
                 if not 0 <= i < 1 << n:
                     raise ValueError(f"basis index {i} out of range for {n} qubits")
@@ -107,7 +108,7 @@ class StateVector:
             nonzero = np.flatnonzero(amps)
             support = dict(zip(nonzero.tolist(), amps[nonzero].tolist()))
         norm = sum(abs(a) ** 2 for a in support.values())
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
         object.__setattr__(self, "_support", support)
 
@@ -167,6 +168,13 @@ class StateVector:
 
     def __repr__(self) -> str:
         return f"StateVector(num_qubits={self.num_qubits})"
+
+
+def _basis_index(i) -> int:
+    try:
+        return operator.index(i)
+    except TypeError:
+        raise ValueError(f"basis index {i!r} is not an integer") from None
 
 
 def _state(num_qubits: int, support: dict[int, complex]) -> StateVector:

@@ -286,12 +286,11 @@ class TestUplinkSlot:
         report = run_uplink_slot(4, None, RandomSource(9))
         winner = report.outcome.winner
         for node in range(1, 5):
-            view = report.local_views[node]
-            if node == winner:
-                assert view["w"] == 1
-            else:
-                assert view["w"] == 0
-                assert set(view) == {"w", "g_sent", "q_sent"}
+            # its own W bit and its own report, no other end-node's
+            assert report.local_views[node] == (
+                node, int(node == winner), (report.messages[node - 1],)
+            )
+            assert report.messages[node - 1].sender == node
 
     def test_payload_count_checked(self):
         with pytest.raises(ValueError, match="one payload per end-node"):
@@ -319,10 +318,11 @@ class TestDownlinkSlot:
 
     def test_broadcast_visible_to_every_end_node(self):
         report = run_downlink_slot(3, None, RandomSource(8))
-        payload = report.messages[-1].payload
-        expected = (payload.q_star, payload.g0, payload.parity)
+        broadcast = report.messages[-1]
+        assert broadcast.recipient is None
         for node in range(1, 4):
-            assert report.local_views[node]["broadcast"] == expected
+            _, _, seen = report.local_views[node]
+            assert seen == (report.messages[node - 1], broadcast)
 
     def test_role_duality_with_uplink(self):
         # Same seed, same contention branch: the selected pair is reversed.
@@ -406,3 +406,7 @@ class TestRunSlot:
         ]
         assert len(matches) == 1
         assert matches[0].delivered_fidelity == pytest.approx(report.teleport_fidelity, abs=1e-12)
+        # the oracle's view of each loser, given the dummy it sent, is the slot's
+        for node in losers_g:
+            oracle_view = matches[0].loser_view(node, reports[node].q, slot_type)
+            assert report.local_views[node] == oracle_view

@@ -89,6 +89,11 @@ class TestStateVector:
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             StateVector(1, np.array([1.0, 1.0]))
+        # a NaN norm compares false against any tolerance
+        with pytest.raises(ValueError, match="nan"):
+            StateVector(1, [math.nan, 0.0])
+        with pytest.raises(ValueError, match="nan"):
+            StateVector.qubit(math.nan, 0.0)
 
     def test_amplitude_count_is_power_of_two(self):
         s = random_state(5, seed=0)
@@ -441,6 +446,10 @@ class TestSupportStorage:
             StateVector.from_support(2, {4: 1.0})
         with pytest.raises(ValueError, match="not normalized"):
             StateVector.from_support(2, {0: 1.0, 3: 1.0})
+
+    def test_from_support_rejects_non_integer_index(self):
+        with pytest.raises(ValueError, match="basis index 1.7 is not an integer"):
+            StateVector.from_support(2, {1.7: 1.0})
 
     def test_exact_zeros_leave_the_support(self):
         out = apply_single(ghz(2), 0, HADAMARD)
