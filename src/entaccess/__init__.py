@@ -13,7 +13,6 @@ from .circuits import (
     leader_aware_circuit,
     prepare_ghz,
     prepare_leader_aware,
-    prepare_w,
 )
 from .extraction import (
     BELL_PHI_MINUS,
@@ -25,7 +24,6 @@ from .extraction import (
     build_p_sequence,
     extract_epr,
     parity_correct,
-    unitary_for,
 )
 from .protocol import (
     ClassicalMessage,
@@ -33,7 +31,6 @@ from .protocol import (
     EndNodeReport,
     OrchestratorBroadcast,
     ProtocolError,
-    Role,
     SlotReport,
     SlotType,
     contend,
@@ -67,7 +64,6 @@ from .statevector import (
     Gate,
     HADAMARD,
     IDENTITY,
-    MeasurementRecord,
     PAULI_X,
     PAULI_Z,
     RandomSource,

@@ -1,4 +1,4 @@
-"""Resource-state preparation: GHZ, W, and the leader-aware state.
+"""Resource-state preparation: the GHZ and the leader-aware state.
 
 The leader-aware state is a W state over the end-nodes' qubits enriched with
 ceil(log2 n) orchestrator-held ancillas. A chain of CNOTs copies the binary
@@ -14,17 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .statevector import (
-    HADAMARD,
-    IDENTITY,
-    PAULI_X,
-    PAULI_Z,
-    StateVector,
-    apply_cnot,
-    apply_single,
-)
-
-_SINGLE_QUBIT_GATES = {"I": IDENTITY, "H": HADAMARD, "X": PAULI_X, "Z": PAULI_Z}
+from .statevector import StateVector, apply_cnot
 
 
 def ancilla_count(n: int) -> int:
@@ -93,7 +83,7 @@ class GateOp:
 
 @dataclass
 class GateList:
-    """Ordered gate sequence over a register of declared width."""
+    """Ordered CX sequence over a register of declared width; other kinds are rejected."""
 
     num_qubits: int
     ops: list[GateOp] = field(default_factory=list)
@@ -103,19 +93,13 @@ class GateList:
             self._validate(op)
 
     def _validate(self, op: GateOp) -> None:
-        if op.kind == "CX":
-            if op.control is None:
-                raise ValueError("CX entry requires a control index")
-            if op.control == op.target:
-                raise ValueError("CX control and target must differ")
-            indices = (op.control, op.target)
-        elif op.kind in _SINGLE_QUBIT_GATES:
-            if op.control is not None:
-                raise ValueError(f"{op.kind} entry takes no control")
-            indices = (op.target,)
-        else:
+        if op.kind != "CX":
             raise ValueError(f"unknown gate kind {op.kind!r}")
-        for q in indices:
+        if op.control is None:
+            raise ValueError("CX entry requires a control index")
+        if op.control == op.target:
+            raise ValueError("CX control and target must differ")
+        for q in (op.control, op.target):
             if not 0 <= q < self.num_qubits:
                 raise ValueError(
                     f"index {q} outside register of width {self.num_qubits}"
@@ -128,40 +112,14 @@ class GateList:
                 f"state has {state.num_qubits} qubits, circuit declares {self.num_qubits}"
             )
         for op in self.ops:
-            if op.kind == "CX":
-                state = apply_cnot(state, op.control, op.target)
-            else:
-                state = apply_single(state, op.target, _SINGLE_QUBIT_GATES[op.kind])
+            state = apply_cnot(state, op.control, op.target)
         return state
 
     def to_text(self) -> str:
         """Line-oriented export: ``QUBITS <count>`` header, one gate per line."""
         lines = [f"QUBITS {self.num_qubits}"]
-        for op in self.ops:
-            if op.kind == "CX":
-                lines.append(f"CX {op.control} {op.target}")
-            else:
-                lines.append(f"{op.kind} {op.target}")
+        lines += [f"CX {op.control} {op.target}" for op in self.ops]
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> GateList:
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("QUBITS "):
-            raise ValueError("gate list must start with a 'QUBITS <count>' header")
-        num_qubits = int(lines[0].split()[1])
-        ops = []
-        for ln in lines[1:]:
-            parts = ln.split()
-            if parts[0] == "CX":
-                if len(parts) != 3:
-                    raise ValueError(f"malformed CX line: {ln!r}")
-                ops.append(GateOp("CX", target=int(parts[2]), control=int(parts[1])))
-            elif parts[0] in _SINGLE_QUBIT_GATES and len(parts) == 2:
-                ops.append(GateOp(parts[0], target=int(parts[1])))
-            else:
-                raise ValueError(f"malformed gate line: {ln!r}")
-        return cls(num_qubits, ops)
 
 
 def prepare_ghz(q: int) -> StateVector:
@@ -170,14 +128,6 @@ def prepare_ghz(q: int) -> StateVector:
         raise ValueError("GHZ state needs at least two qubits")
     amp = 1.0 / math.sqrt(2.0)
     return StateVector.from_support(q, {0: amp, (1 << q) - 1: amp})
-
-
-def prepare_w(n: int) -> StateVector:
-    """Equal superposition of all one-hot basis states over n qubits."""
-    if n < 1:
-        raise ValueError("W state needs at least one qubit")
-    amp = 1.0 / math.sqrt(n)
-    return StateVector.from_support(n, {1 << (n - 1 - i): amp for i in range(n)})
 
 
 def leader_aware_circuit(n: int) -> GateList:

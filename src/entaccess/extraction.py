@@ -19,9 +19,7 @@ from functools import reduce
 from .statevector import (
     Basis,
     HADAMARD,
-    IDENTITY,
     PAULI_Z,
-    Gate,
     RandomSource,
     StateVector,
     apply_single,
@@ -81,15 +79,13 @@ class ExtractionResult:
 
     ``outcomes`` maps each loser index to its measurement bit; ``parity`` is
     their XOR. The pair qubits of ``state`` hold |Phi+> when parity is 0 and
-    |Phi-> when 1 (losers stay in the register, pinned). ``operations`` logs
-    every quantum operation performed, each touching a single qubit.
+    |Phi-> when 1 (losers stay in the register, pinned).
     """
 
     pair: tuple[int, int]
     outcomes: dict[int, int]
     parity: int
     state: StateVector
-    operations: tuple[tuple[str, int], ...]
 
 
 def build_p_sequence(winner: int, n: int) -> PSequence:
@@ -97,15 +93,6 @@ def build_p_sequence(winner: int, n: int) -> PSequence:
     if not 1 <= winner <= n:
         raise ValueError(f"winner must be an end-node index in 1..{n}, got {winner}")
     return PSequence.for_pair(0, winner, n)
-
-
-def unitary_for(p_bit: int) -> Gate:
-    """Local gate a node applies to its GHZ qubit: H for losers, I for winners."""
-    if p_bit == 0:
-        return HADAMARD
-    if p_bit == 1:
-        return IDENTITY
-    raise ValueError(f"sequence entry must be a bit, got {p_bit!r}")
 
 
 def apply_up(state: StateVector, p: PSequence) -> StateVector:
@@ -133,18 +120,14 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
         )
     state = ghz
     outcomes: dict[int, int] = {}
-    operations = []
     for qubit in p.losers:
-        record, state = measure(state, qubit, Basis.HADAMARD, rng)
-        outcomes[qubit] = record.outcome
-        operations.append(("measure_hadamard", qubit))
+        outcomes[qubit], state = measure(state, qubit, Basis.HADAMARD, rng)
     parity = reduce(lambda acc, g: acc ^ g, outcomes.values(), 0)
     return ExtractionResult(
         pair=p.pair,
         outcomes=outcomes,
         parity=parity,
         state=state,
-        operations=tuple(operations),
     )
 
 

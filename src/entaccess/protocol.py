@@ -55,12 +55,6 @@ class SlotType(Enum):
     DOWNLINK = "downlink"
 
 
-class Role(Enum):
-    TRANSMITTER = "transmitter"
-    RECEIVER = "receiver"
-    LOSER = "loser"
-
-
 class ProtocolError(RuntimeError):
     """A branch the protocol guarantees impossible was observed."""
 
@@ -94,13 +88,6 @@ class ContentionOutcome:
         if slot_type is SlotType.UPLINK:
             return cls(slot_type, transmitter=winner, receiver=ORCHESTRATOR)
         return cls(slot_type, transmitter=ORCHESTRATOR, receiver=winner)
-
-    def role_of(self, node: int) -> Role:
-        if node == self.transmitter:
-            return Role.TRANSMITTER
-        if node == self.receiver:
-            return Role.RECEIVER
-        return Role.LOSER
 
 
 @dataclass(frozen=True)
@@ -214,8 +201,8 @@ def contend(
     state = leader_aware
     outcomes = []
     for qubit in layout.w_qubits:
-        record, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
-        outcomes.append(record.outcome)
+        w, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
+        outcomes.append(w)
     winners = [i + 1 for i, w in enumerate(outcomes) if w == 1]
     if len(winners) != 1:
         raise ProtocolError(f"contention produced {len(winners)} winners: {outcomes}")
@@ -228,8 +215,8 @@ def read_ancillas(
     """Orchestrator-side readout of the ancilla block (deterministic after contention)."""
     bits = []
     for qubit in layout.ancilla_qubits:
-        record, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
-        bits.append(record.outcome)
+        bit, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
+        bits.append(bit)
     return tuple(bits), state
 
 
@@ -254,9 +241,9 @@ def teleport_send(
     """
     state = apply_cnot(state, payload_qubit, epr_qubit)
     state = apply_single(state, payload_qubit, HADAMARD)
-    q_record, state = measure(state, payload_qubit, Basis.COMPUTATIONAL, rng)
-    g_record, state = measure(state, epr_qubit, Basis.COMPUTATIONAL, rng)
-    return q_record.outcome, g_record.outcome, state
+    q_star, state = measure(state, payload_qubit, Basis.COMPUTATIONAL, rng)
+    g_star, state = measure(state, epr_qubit, Basis.COMPUTATIONAL, rng)
+    return q_star, g_star, state
 
 
 def teleport_receive(

@@ -18,8 +18,8 @@ Conventions:
   would.
 - Public constructors validate their input, norm included; the results of
   gates, measurements and tensor products skip that check.
-- Dense views (``amplitudes``, ``probabilities``, ``marginal_distribution``)
-  refuse registers beyond ``MAX_DENSE_QUBITS`` before allocating anything.
+- Dense views (``amplitudes``, ``marginal_distribution``) refuse registers
+  beyond ``MAX_DENSE_QUBITS`` before allocating anything.
 """
 
 from __future__ import annotations
@@ -141,9 +141,6 @@ class StateVector:
         amps.flags.writeable = False
         return amps
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
     def _mask(self, qubit: int) -> int:
         """The index bit that holds ``qubit``."""
         if not 0 <= qubit < self.num_qubits:
@@ -183,16 +180,6 @@ def _state(num_qubits: int, support: dict[int, complex]) -> StateVector:
     object.__setattr__(state, "num_qubits", num_qubits)
     object.__setattr__(state, "_support", support)
     return state
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One projective measurement: which qubit, which basis, what came out."""
-
-    qubit: int
-    basis: Basis
-    outcome: int
-    probability: float
 
 
 class RandomSource:
@@ -312,10 +299,10 @@ def _project(state: StateVector, qubit: int, outcome: int) -> tuple[float, State
 
 def measure(
     state: StateVector, qubit: int, basis: Basis, rng: RandomSource
-) -> tuple[MeasurementRecord, StateVector]:
-    """Projective measurement of one qubit; the qubit stays in the register.
+) -> tuple[int, StateVector]:
+    """Projective measurement of one qubit: (outcome bit, post-state).
 
-    Hadamard-basis measurement applies H to the qubit and then measures
+    The measured qubit stays in the register. Hadamard-basis measurement applies H to the qubit and then measures
     computationally; the returned post-state carries that H.
     """
     if basis is Basis.HADAMARD:
@@ -326,8 +313,8 @@ def measure(
     # impossible; never sample it
     if (p0 if outcome == 0 else 1.0 - p0) <= _BRANCH_EPS:
         outcome = 1 - outcome
-    prob, post = _project(state, qubit, outcome)
-    return MeasurementRecord(qubit, basis, outcome, prob), post
+    _, post = _project(state, qubit, outcome)
+    return outcome, post
 
 
 def enumerate_branches(

@@ -20,13 +20,11 @@ from entaccess.extraction import (
     build_p_sequence,
     extract_epr,
     parity_correct,
-    unitary_for,
 )
+from entaccess import extraction, statevector
 from entaccess.circuits import prepare_ghz
 from entaccess.statevector import (
     Basis,
-    HADAMARD,
-    IDENTITY,
     RandomSource,
     enumerate_branches,
     fidelity,
@@ -72,18 +70,6 @@ class TestBuildPSequence:
     def test_rejects_bad_winner(self, winner):
         with pytest.raises(ValueError):
             build_p_sequence(winner, 4)
-
-
-class TestUnitaryFor:
-    def test_loser_gets_hadamard(self):
-        assert unitary_for(0) is HADAMARD
-
-    def test_winner_gets_identity(self):
-        assert unitary_for(1) is IDENTITY
-
-    def test_rejects_non_bit(self):
-        with pytest.raises(ValueError):
-            unitary_for(2)
 
 
 class TestApplyUp:
@@ -147,17 +133,36 @@ class TestExtractEpr:
             state = apply_up(prepare_ghz(5), p)
             outcomes = {}
             for qubit in p.losers:
-                record, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
-                outcomes[qubit] = record.outcome
+                outcomes[qubit], state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
             assert result.outcomes == outcomes
             np.testing.assert_allclose(result.state.amplitudes, state.amplitudes, atol=1e-12)
 
-    def test_operation_log_is_single_qubit_only(self):
-        result = extract_epr(prepare_ghz(5), PSequence((1, 0, 0, 0, 1)), RandomSource(3))
-        assert len(result.operations) == 3
-        for name, qubit in result.operations:
-            assert name == "measure_hadamard"
-            assert isinstance(qubit, int)
+    def test_losers_only_measure_their_own_qubit(self, monkeypatch):
+        # Locality: one Hadamard-basis measurement per loser, on its own
+        # qubit, and no gate besides, least of all a two-qubit one.
+        measured, gates = [], []
+
+        def measure_spy(state, qubit, basis, rng):
+            measured.append((qubit, basis))
+            return measure(state, qubit, basis, rng)
+
+        def gate_spy(fn):
+            def spy(state, *args):
+                gates.append((fn.__name__, args))
+                return fn(state, *args)
+            return spy
+
+        monkeypatch.setattr(extraction, "measure", measure_spy)
+        monkeypatch.setattr(extraction, "apply_single", gate_spy(statevector.apply_single))
+        for module in (extraction, statevector):
+            monkeypatch.setattr(
+                module, "apply_cnot", gate_spy(statevector.apply_cnot), raising=False
+            )
+        p = PSequence((1, 0, 0, 0, 1))
+        result = extract_epr(prepare_ghz(5), p, RandomSource(3))
+        assert measured == [(q, Basis.HADAMARD) for q in p.losers]
+        assert gates == []
+        assert sorted(result.outcomes) == list(p.losers)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="covers"):

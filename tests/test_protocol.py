@@ -15,7 +15,6 @@ from entaccess.protocol import (
     EndNodeReport,
     OrchestratorBroadcast,
     ProtocolError,
-    Role,
     SlotType,
     contend,
     decode_ancilla,
@@ -198,15 +197,6 @@ class TestContentionOutcome:
     def test_uplink_roles(self):
         outcome = ContentionOutcome(SlotType.UPLINK, transmitter=3, receiver=0)
         assert outcome.winner == 3
-        assert outcome.role_of(3) is Role.TRANSMITTER
-        assert outcome.role_of(0) is Role.RECEIVER
-        assert outcome.role_of(1) is Role.LOSER
-
-    def test_exactly_one_transmitter_receiver(self):
-        outcome = ContentionOutcome(SlotType.DOWNLINK, transmitter=0, receiver=2)
-        roles = [outcome.role_of(node) for node in range(5)]
-        assert roles.count(Role.TRANSMITTER) == 1
-        assert roles.count(Role.RECEIVER) == 1
 
     def test_uplink_must_receive_at_orchestrator(self):
         with pytest.raises(ValueError, match="orchestrator"):
