@@ -148,11 +148,14 @@ class SessionStats:
 _pools: dict[int, tuple[int, ProcessPoolExecutor]] = {}
 
 
-def _per_trial(work: Callable[[int], T], seed: int, trials: int, jobs: int) -> list[T]:
+def _per_trial(
+    work: Callable[[tuple[int, int]], T], seed: int, trials: int, jobs: int
+) -> list[T]:
     """``work(trial_seed)`` for every trial, returned in trial order.
 
-    Trial ``t`` is seeded with ``seed`` XOR ``t``, so the results do not
-    depend on ``jobs``. ``jobs`` > 1 spreads the trials over
+    Trial ``t`` gets the ``RandomSource`` seed ``(seed, t)``: the streams of
+    all trials of all seeds are independent, and the results do not depend
+    on ``jobs``. ``jobs`` > 1 spreads the trials over
     ``min(jobs, os.cpu_count())`` processes. The pool is forked on first use
     and kept for the process: later calls with the same worker count reuse
     it, another count replaces it, and a pool inherited from a parent
@@ -163,7 +166,7 @@ def _per_trial(work: Callable[[int], T], seed: int, trials: int, jobs: int) -> l
     """
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    trial_seeds = [seed ^ t for t in range(trials)]
+    trial_seeds = [(seed, t) for t in range(trials)]
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or trials == 1:
         return [work(s) for s in trial_seeds]
@@ -182,7 +185,9 @@ def _per_trial(work: Callable[[int], T], seed: int, trials: int, jobs: int) -> l
         raise
 
 
-def _run_trial(n: int, slots: tuple[SlotType, ...], trial_seed: int) -> list[SlotReport]:
+def _run_trial(
+    n: int, slots: tuple[SlotType, ...], trial_seed: tuple[int, int]
+) -> list[SlotReport]:
     rng = RandomSource(trial_seed)
     return [run_slot(n, slot_type, None, rng) for slot_type in slots]
 
@@ -258,7 +263,7 @@ class FairnessResult:
         }
 
 
-def _contention_winner(n: int, trial_seed: int) -> int:
+def _contention_winner(n: int, trial_seed: tuple[int, int]) -> int:
     winner, _, _ = contend(prepare_leader_aware(n), RandomSource(trial_seed))
     return winner
 

@@ -25,6 +25,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
@@ -183,18 +184,30 @@ def _state(num_qubits: int, support: dict[int, complex]) -> StateVector:
 
 
 class RandomSource:
-    """Deterministic stream of uniform reals; identical seed, identical stream."""
+    """Deterministic stream of uniform reals; identical seed, identical stream.
 
-    def __init__(self, seed: int):
-        self.check_seed(seed)
+    ``seed`` is a non-negative integer, or a ``(seed, trial)`` pair of them
+    that keys trial ``trial`` of a seeded experiment. The pair seeds numpy's
+    ``SeedSequence(seed, spawn_key=(trial,))``, the child stream numpy
+    spawns for ``trial``, so distinct pairs give independent streams.
+    """
+
+    def __init__(self, seed: int | tuple[int, int]):
         self.seed = seed
+        if isinstance(seed, tuple):
+            base, trial = seed
+            self.check_seed(base)
+            self.check_seed(trial)
+            seed = np.random.SeedSequence(base, spawn_key=(trial,))
+        else:
+            self.check_seed(seed)
         self._gen = np.random.default_rng(seed)
 
     @staticmethod
     def check_seed(seed: int) -> None:
-        """Raise ValueError unless ``seed`` is a valid seed, i.e. non-negative."""
-        if seed < 0:
-            raise ValueError("seed must be a non-negative integer")
+        """Raise ValueError unless ``seed`` is a non-negative integer."""
+        if not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     def random(self) -> float:
         """Next uniform real in [0, 1)."""

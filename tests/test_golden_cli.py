@@ -8,10 +8,16 @@ float noise around an exact 0 and differs in its last bits between the two
 storages; it is compared as a value at most 1e-12, every other byte exactly.
 The other six were captured from the separate uplink and downlink slot
 bodies that ``run_slot`` replaced, and cover the circuit export, the csv
-formats, the session stats document and a jsonl slot. ``session_n5_json``
-and ``fairness_n8`` are also run with ``--jobs 2`` against the same files,
-so the process-pool path is pinned to the serial output. To regenerate a
-file, run the invocation with ``python -m entaccess`` and redirect stdout.
+formats, the session stats document and a jsonl slot.
+
+The six invocations that run seeded trials (``SEEDED_TRIALS``) were
+regenerated when trial ``t`` of seed ``s`` came to be seeded from the pair
+``(s, t)`` instead of ``s ^ t``: ``session_n4_du``, ``session_n14``,
+``session_n5_csv``, ``session_n5_json``, ``fairness_n8`` and
+``fairness_n6_csv``. No other file moved. Each of the six is also run with
+``--jobs 2`` against the same file, so the process-pool path is pinned to
+the serial output. To regenerate a file, run the invocation with
+``python -m entaccess`` and redirect stdout.
 """
 
 import re
@@ -39,6 +45,8 @@ INVOCATIONS = {
     "uplink_n3_jsonl": "uplink --n 3 --seed 1 --format jsonl",
 }
 
+SEEDED_TRIALS = [name for name, argv in INVOCATIONS.items() if "--trials" in argv]
+
 _DEVIATION = re.compile(r'"max_deviation": ([^,}]+)')
 
 
@@ -60,7 +68,7 @@ def test_matches_golden_output(capsys, name):
     assert out == expected
 
 
-@pytest.mark.parametrize("name", ["fairness_n8", "session_n5_json"])
+@pytest.mark.parametrize("name", sorted(SEEDED_TRIALS))
 def test_pool_matches_golden_output(capsys, name):
     out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "2"])
     assert out == (GOLDEN / f"{name}.txt").read_text()

@@ -45,6 +45,11 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SessionConfig(n=3, seed=-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", (1, 2)])
+    def test_rejects_non_integer_seed(self, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            SessionConfig(n=3, seed=seed)
+
 
 class TestRunSession:
     def test_single_node_single_slot(self):
@@ -311,6 +316,19 @@ class TestFairness:
         serial = fairness_experiment(3, 200, seed=6)
         parallel = fairness_experiment(3, 200, seed=6, jobs=4)
         assert serial == parallel
+
+    def test_distinct_seeds_give_distinct_histograms(self):
+        # seeding trial t with seed ^ t ran seeds 0 and 1 on the same trials
+        assert fairness_experiment(4, 1000, 0).histogram != fairness_experiment(4, 1000, 1).histogram
+
+
+def test_every_trial_of_every_seed_has_its_own_stream():
+    first_draws = [
+        draw
+        for seed in range(4)
+        for draw in entaccess.session._per_trial(lambda key: RandomSource(key).random(), seed, 64, 1)
+    ]
+    assert len(set(first_draws)) == len(first_draws)
 
 
 class TestEnumerator:

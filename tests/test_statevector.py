@@ -357,6 +357,16 @@ class TestRandomSource:
         with pytest.raises(ValueError):
             RandomSource(-1)
 
+    @pytest.mark.parametrize("seed", [1.5, "3", None, (0, -1), (-1, 0), (0, 1.5), (1, 2, 3)])
+    def test_non_integer_or_negative_entries_rejected(self, seed):
+        with pytest.raises(ValueError):
+            RandomSource(seed)
+
+    def test_pair_keys_its_own_stream(self):
+        draws = {key: RandomSource(key).random() for key in [5, (5, 0), (5, 1), (6, 0)]}
+        assert len(set(draws.values())) == 4
+        assert RandomSource((5, 1)).random() == draws[(5, 1)]
+
 
 class TestProductState:
     def test_mixed_product(self):
