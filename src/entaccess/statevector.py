@@ -296,7 +296,7 @@ def _branch_probability(state: StateVector, qubit: int, outcome: int) -> float:
     return float(sum(abs(a) ** 2 for i, a in state._support.items() if i & bit == want))
 
 
-def _project(state: StateVector, qubit: int, outcome: int) -> tuple[float, StateVector]:
+def _project(state: StateVector, qubit: int, outcome: int) -> StateVector:
     """Collapse ``qubit`` onto ``outcome``; errors on an impossible branch."""
     prob = _branch_probability(state, qubit, outcome)
     if prob <= _BRANCH_EPS:
@@ -307,7 +307,7 @@ def _project(state: StateVector, qubit: int, outcome: int) -> tuple[float, State
     want = bit if outcome else 0
     root = math.sqrt(prob)
     support = {i: a / root for i, a in state._support.items() if i & bit == want}
-    return prob, _state(state.num_qubits, support)
+    return _state(state.num_qubits, support)
 
 
 def measure(
@@ -315,8 +315,9 @@ def measure(
 ) -> tuple[int, StateVector]:
     """Projective measurement of one qubit: (outcome bit, post-state).
 
-    The measured qubit stays in the register. Hadamard-basis measurement applies H to the qubit and then measures
-    computationally; the returned post-state carries that H.
+    The measured qubit stays in the register. Hadamard-basis measurement
+    applies H to the qubit and then measures computationally; the returned
+    post-state carries that H.
     """
     if basis is Basis.HADAMARD:
         state = apply_single(state, qubit, HADAMARD)
@@ -326,8 +327,7 @@ def measure(
     # impossible; never sample it
     if (p0 if outcome == 0 else 1.0 - p0) <= _BRANCH_EPS:
         outcome = 1 - outcome
-    _, post = _project(state, qubit, outcome)
-    return outcome, post
+    return outcome, _project(state, qubit, outcome)
 
 
 def enumerate_branches(
@@ -351,7 +351,7 @@ def enumerate_branches(
                 p = _branch_probability(work, qubit, outcome)
                 if p <= _BRANCH_EPS:
                     continue
-                _, post = _project(work, qubit, outcome)
+                post = _project(work, qubit, outcome)
                 expanded.append((outcomes + (outcome,), prob * p, post))
         branches = expanded
     return branches

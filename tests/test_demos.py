@@ -20,7 +20,10 @@ DEMOS = sorted((ROOT / "demos").glob("[0-9][0-9]_*.py"))
 
 
 def test_every_demo_has_a_golden():
-    assert [d.name[:2] for d in DEMOS] == ["01", "02", "03", "04"]
+    assert len(DEMOS) == 4
+    assert sorted(g.name for g in GOLDEN.glob("demo_*.txt")) == [
+        f"demo_{d.name[:2]}.txt" for d in DEMOS
+    ]
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda d: d.stem)

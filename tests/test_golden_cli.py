@@ -45,7 +45,7 @@ INVOCATIONS = {
     "uplink_n3_jsonl": "uplink --n 3 --seed 1 --format jsonl",
 }
 
-SEEDED_TRIALS = [name for name, argv in INVOCATIONS.items() if "--trials" in argv]
+SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)
 
 _DEVIATION = re.compile(r'"max_deviation": ([^,}]+)')
 
@@ -68,7 +68,7 @@ def test_matches_golden_output(capsys, name):
     assert out == expected
 
 
-@pytest.mark.parametrize("name", sorted(SEEDED_TRIALS))
+@pytest.mark.parametrize("name", SEEDED_TRIALS)
 def test_pool_matches_golden_output(capsys, name):
     out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "2"])
     assert out == (GOLDEN / f"{name}.txt").read_text()

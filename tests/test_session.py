@@ -319,14 +319,16 @@ class TestFairness:
 
     def test_distinct_seeds_give_distinct_histograms(self):
         # seeding trial t with seed ^ t ran seeds 0 and 1 on the same trials
-        assert fairness_experiment(4, 1000, 0).histogram != fairness_experiment(4, 1000, 1).histogram
+        histograms = [fairness_experiment(4, 1000, seed).histogram for seed in (0, 1)]
+        assert histograms[0] != histograms[1]
 
 
 def test_every_trial_of_every_seed_has_its_own_stream():
+    def first_draw(trial_seed):
+        return RandomSource(trial_seed).random()
+
     first_draws = [
-        draw
-        for seed in range(4)
-        for draw in entaccess.session._per_trial(lambda key: RandomSource(key).random(), seed, 64, 1)
+        draw for seed in range(4) for draw in entaccess.session._per_trial(first_draw, seed, 64, 1)
     ]
     assert len(set(first_draws)) == len(first_draws)
 

@@ -216,10 +216,13 @@ class TestMeasure:
 
     def test_w_qubit_probability_is_one_over_n(self):
         # the post-state is renormalized by the branch weight, 1/4 or 3/4
-        for seed in range(8):
+        outcomes = set()
+        for seed in range(16):
             outcome, post = measure(w_state(4), 1, Basis.COMPUTATIONAL, RandomSource(seed))
+            outcomes.add(outcome)
             expected = {0b0100: 1.0} if outcome else {i: 1 / math.sqrt(3) for i in (8, 2, 1)}
             assert post.support == pytest.approx(expected)
+        assert outcomes == {0, 1}
 
     def test_measured_qubit_stays_pinned(self):
         outcome, post = measure(ghz(3), 0, Basis.COMPUTATIONAL, RandomSource(5))
