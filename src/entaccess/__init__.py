@@ -75,6 +75,7 @@ from .statevector import (
     haar_qubit,
     marginal_distribution,
     measure,
+    measure_sequence,
     product_state,
     tensor_product,
 )

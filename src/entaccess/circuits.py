@@ -63,8 +63,12 @@ class LeaderAwareLayout:
 
     @classmethod
     def from_total_qubits(cls, total: int) -> LeaderAwareLayout:
-        """Recover the layout from a register size (n + ancilla_count(n) is injective)."""
-        n = 1
+        """Recover the layout from a register size (n + ancilla_count(n) is injective).
+
+        The search starts at a lower bound of the answer: ancilla_count(n) is at
+        most n.bit_length(), which is at most total.bit_length().
+        """
+        n = max(1, total - total.bit_length())
         while n + ancilla_count(n) < total:
             n += 1
         if n + ancilla_count(n) != total:

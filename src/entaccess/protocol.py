@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from .extraction import build_p_sequence, extract_epr
@@ -40,9 +40,10 @@ from .statevector import (
     StateVector,
     apply_cnot,
     apply_single,
+    bloch_qubit,
     fidelity,
-    haar_qubit,
     measure,
+    measure_sequence,
     product_state,
     tensor_product,
 )
@@ -198,26 +199,18 @@ def contend(
     full vector is returned for bookkeeping.
     """
     layout = LeaderAwareLayout.from_total_qubits(leader_aware.num_qubits)
-    state = leader_aware
-    outcomes = []
-    for qubit in layout.w_qubits:
-        w, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
-        outcomes.append(w)
+    outcomes, state = measure_sequence(leader_aware, layout.w_qubits, rng)
     winners = [i + 1 for i, w in enumerate(outcomes) if w == 1]
     if len(winners) != 1:
         raise ProtocolError(f"contention produced {len(winners)} winners: {outcomes}")
-    return winners[0], tuple(outcomes), state
+    return winners[0], outcomes, state
 
 
 def read_ancillas(
     state: StateVector, layout: LeaderAwareLayout, rng: RandomSource
 ) -> tuple[tuple[int, ...], StateVector]:
     """Orchestrator-side readout of the ancilla block (deterministic after contention)."""
-    bits = []
-    for qubit in layout.ancilla_qubits:
-        bit, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
-        bits.append(bit)
-    return tuple(bits), state
+    return measure_sequence(state, layout.ancilla_qubits, rng)
 
 
 def decode_ancilla(ancilla: Sequence[int], n: int) -> int:
@@ -267,15 +260,24 @@ def _as_rng(seed_or_rng: RandomSource | int) -> RandomSource:
     return RandomSource(seed_or_rng)
 
 
-def _payloads_for(n: int, payloads: Sequence[StateVector] | None, rng: RandomSource):
+def _payloads_for(
+    n: int, payloads: Sequence[StateVector] | None, rng: RandomSource
+) -> Callable[[int], StateVector]:
+    """The slot's winner -> payload lookup.
+
+    Random payloads draw their uniforms now, two per end-node in node order
+    as ``n`` calls of ``haar_qubit`` would, but only the winner's is built.
+    """
     if payloads is None:
-        return [haar_qubit(rng) for _ in range(n)]
+        draws = [(rng.random(), rng.random()) for _ in range(n)]
+        return lambda winner: bloch_qubit(*draws[winner - 1])
     if len(payloads) != n:
         raise ValueError(f"need one payload per end-node, got {len(payloads)} for n={n}")
     for p in payloads:
         if p.num_qubits != 1:
             raise ValueError("payloads must be single-qubit states")
-    return list(payloads)
+    payloads = list(payloads)
+    return lambda winner: payloads[winner - 1]
 
 
 def delivered_fidelity(
@@ -331,13 +333,13 @@ def run_slot(
     drawn uniformly from the Bloch sphere using ``rng``.
     """
     rng = _as_rng(rng)
-    payloads = _payloads_for(n, payloads, rng)
+    payload_of = _payloads_for(n, payloads, rng)
     winner, w_outcomes, ancilla = run_contention(n, rng)
     outcome = ContentionOutcome.for_slot(slot_type, winner)
     uplink = slot_type is SlotType.UPLINK
 
     ext = extract_epr(prepare_ghz(n + 1), build_p_sequence(winner, n), rng)
-    payload = payloads[winner - 1]
+    payload = payload_of(winner)
     joint = tensor_product(ext.state, payload)  # payload joins as qubit n+1
     if uplink:
         q_star, g_star, joint = teleport_send(joint, n + 1, winner, rng)

@@ -20,6 +20,10 @@ Conventions:
   gates, measurements and tensor products skip that check.
 - Dense views (``amplitudes``, ``marginal_distribution``) refuse registers
   beyond ``MAX_DENSE_QUBITS`` before allocating anything.
+- ``measure_sequence`` measures a contiguous, ascending block of qubits
+  (``[q, q+1, ..., q+k-1]``) in the computational basis and refuses any
+  other list. Those qubits are adjacent index bits, so one sort of the
+  support by them puts every set of still-possible terms in one index range.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError, dataclass
 from enum import Enum
+from itertools import accumulate
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -290,19 +296,39 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return _state(state.num_qubits, support)
 
 
-def _branch_probability(state: StateVector, qubit: int, outcome: int) -> float:
+def _branch_weights(state: StateVector, qubit: int) -> tuple[float, float]:
+    """(p0, p1): the weights of the two branches of ``qubit``, in one pass.
+
+    Each is summed in support order, as ``sum`` over that branch would.
+    """
     bit = state._mask(qubit)
-    want = bit if outcome else 0
-    return float(sum(abs(a) ** 2 for i, a in state._support.items() if i & bit == want))
+    p0 = p1 = 0.0
+    for i, a in state._support.items():
+        if i & bit:
+            p1 += abs(a) ** 2
+        else:
+            p0 += abs(a) ** 2
+    return p0, p1
 
 
-def _project(state: StateVector, qubit: int, outcome: int) -> StateVector:
-    """Collapse ``qubit`` onto ``outcome``; errors on an impossible branch."""
-    prob = _branch_probability(state, qubit, outcome)
+def _sample(p0: float, rng: RandomSource) -> int:
+    """One outcome bit, 0 with probability ``p0``, from one draw."""
+    outcome = 0 if rng.random() < p0 else 1
+    # float noise can leave a ~1e-17 weight on a branch that is really
+    # impossible; never sample it
+    if (p0 if outcome == 0 else 1.0 - p0) <= _BRANCH_EPS:
+        outcome = 1 - outcome
+    return outcome
+
+
+def _zero_branch(qubit: int, outcome: int, prob: float) -> ValueError:
+    return ValueError(f"zero-probability branch: qubit {qubit} -> {outcome} (p = {prob!r})")
+
+
+def _project(state: StateVector, qubit: int, outcome: int, prob: float) -> StateVector:
+    """Collapse ``qubit`` onto ``outcome``, a branch of weight ``prob``; errors if impossible."""
     if prob <= _BRANCH_EPS:
-        raise ValueError(
-            f"zero-probability branch: qubit {qubit} -> {outcome} (p = {prob!r})"
-        )
+        raise _zero_branch(qubit, outcome, prob)
     bit = state._mask(qubit)
     want = bit if outcome else 0
     root = math.sqrt(prob)
@@ -321,13 +347,59 @@ def measure(
     """
     if basis is Basis.HADAMARD:
         state = apply_single(state, qubit, HADAMARD)
-    p0 = _branch_probability(state, qubit, 0)
-    outcome = 0 if rng.random() < p0 else 1
-    # float noise can leave a ~1e-17 weight on a branch that is really
-    # impossible; never sample it
-    if (p0 if outcome == 0 else 1.0 - p0) <= _BRANCH_EPS:
-        outcome = 1 - outcome
-    return outcome, _project(state, qubit, outcome)
+    p0, p1 = _branch_weights(state, qubit)
+    outcome = _sample(p0, rng)
+    return outcome, _project(state, qubit, outcome, p1 if outcome else p0)
+
+
+def measure_sequence(
+    state: StateVector, qubits: Sequence[int], rng: RandomSource
+) -> tuple[tuple[int, ...], StateVector]:
+    """Computational-basis measurement of ``qubits`` in order: (outcome bits, post-state).
+
+    ``qubits`` must be a contiguous, ascending block. It draws as calling
+    ``measure`` on each qubit in turn does, one uniform per qubit in order,
+    and compares each draw with the same conditional p0 up to float
+    rounding, so it gives that loop's outcomes and, to rounding, its
+    post-state. The support is sorted once by the block's bits, so the terms
+    still possible after each outcome form one range of that order: each p0
+    is a ratio of prefix sums whose split point is found by bisection, and
+    the state is normalised once at the end.
+    """
+    qubits = tuple(qubits)
+    if not qubits:
+        return (), state
+    first, k = qubits[0], len(qubits)
+    if qubits != tuple(range(first, first + k)):
+        raise ValueError(f"qubits must be a contiguous ascending block, got {list(qubits)}")
+    state._mask(first)  # both ends in the register, or IndexError as in ``measure``
+    state._mask(qubits[-1])
+    shift = state.num_qubits - 1 - qubits[-1]
+    block = (1 << k) - 1
+    keyed = sorted(((i >> shift) & block, abs(a) ** 2) for i, a in state._support.items())
+    keys = [key for key, _ in keyed]
+    cum = list(accumulate((w for _, w in keyed), initial=0.0))
+    if cum[-1] <= 0.0:  # where ``measure`` would find both branches empty
+        raise _zero_branch(first, 1, cum[-1])
+    lo, hi, seen = 0, len(keys), 0
+    outcomes = []
+    for j, qubit in enumerate(qubits):
+        bit = 1 << (k - 1 - j)
+        split = bisect_left(keys, seen | bit, lo, hi)
+        alive = cum[hi] - cum[lo]
+        p0 = (cum[split] - cum[lo]) / alive
+        outcome = _sample(p0, rng)
+        prob = p0 if outcome == 0 else (cum[hi] - cum[split]) / alive
+        if prob <= _BRANCH_EPS:
+            raise _zero_branch(qubit, outcome, prob)
+        if outcome:
+            lo, seen = split, seen | bit
+        else:
+            hi = split
+        outcomes.append(outcome)
+    root = math.sqrt(cum[hi] - cum[lo])
+    support = {i: a / root for i, a in state._support.items() if (i >> shift) & block == seen}
+    return tuple(outcomes), _state(state.num_qubits, support)
 
 
 def enumerate_branches(
@@ -347,11 +419,10 @@ def enumerate_branches(
         expanded = []
         for outcomes, prob, st in branches:
             work = apply_single(st, qubit, HADAMARD) if basis is Basis.HADAMARD else st
-            for outcome in (0, 1):
-                p = _branch_probability(work, qubit, outcome)
+            for outcome, p in enumerate(_branch_weights(work, qubit)):
                 if p <= _BRANCH_EPS:
                     continue
-                post = _project(work, qubit, outcome)
+                post = _project(work, qubit, outcome, p)
                 expanded.append((outcomes + (outcome,), prob * p, post))
         branches = expanded
     return branches
@@ -390,7 +461,12 @@ def marginal_distribution(
 
 def haar_qubit(rng: RandomSource) -> StateVector:
     """Single-qubit state drawn uniformly from the Bloch sphere."""
-    cos_theta = 2.0 * rng.random() - 1.0
-    phi = 2.0 * math.pi * rng.random()
+    return bloch_qubit(rng.random(), rng.random())  # arguments draw left to right
+
+
+def bloch_qubit(u: float, v: float) -> StateVector:
+    """The ``haar_qubit`` state for its two uniform draws ``u`` then ``v``."""
+    cos_theta = 2.0 * u - 1.0
+    phi = 2.0 * math.pi * v
     half = 0.5 * math.acos(cos_theta)
     return StateVector.qubit(math.cos(half), np.exp(1j * phi) * math.sin(half))

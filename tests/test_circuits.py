@@ -41,7 +41,7 @@ class TestLayout:
         assert layout.ancilla_qubit(0) == 4
         assert layout.ancilla_qubits == (4, 5)
 
-    @pytest.mark.parametrize("n", range(1, 11))
+    @pytest.mark.parametrize("n", [*range(1, 11), 255, 256, 257, 1023, 1024, 1025])
     def test_total_qubits_roundtrip(self, n):
         layout = LeaderAwareLayout(n)
         assert LeaderAwareLayout.from_total_qubits(layout.num_qubits).n == n
@@ -49,6 +49,10 @@ class TestLayout:
     def test_impossible_total_rejected(self):
         with pytest.raises(ValueError, match="no end-node count"):
             LeaderAwareLayout.from_total_qubits(2)
+        possible = {LeaderAwareLayout(n).num_qubits for n in range(1, 1100)}
+        for total in set(range(1100)) - possible:
+            with pytest.raises(ValueError, match="no end-node count"):
+                LeaderAwareLayout.from_total_qubits(total)
 
 
 class TestPrepareGhz:

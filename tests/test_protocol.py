@@ -348,6 +348,34 @@ class TestLargerNetworks:
         assert message_bits(up.messages) == 2 * 256
         assert message_bits(down.messages) == 2 * 256 + 3
 
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    def test_thousand_twenty_four_nodes_deliver(self, slot_type):
+        # 1035-qubit registers; contention is one sorted walk over 1024 terms
+        n = 1024
+        report = run_slot(n, slot_type, None, RandomSource(0))
+        winner = report.outcome.winner
+        assert report.teleport_fidelity == pytest.approx(1.0, abs=1e-10)
+        assert report.w_outcomes == tuple(int(node == winner) for node in range(1, n + 1))
+        assert decode_ancilla(report.ancilla, n) == winner
+        assert message_bits(report.messages) == 2 * n + (3 if slot_type is SlotType.DOWNLINK else 0)
+
+
+class TestRandomStream:
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    @pytest.mark.parametrize("n", [1, 2, 5, 14, 64])
+    def test_random_payloads_draw_as_haar_qubits(self, n, slot_type):
+        # a slot drawing its own payloads consumes the stream exactly as n
+        # haar_qubit calls followed by the slot on those payloads
+        for seed in range(3):
+            own = RandomSource(seed)
+            drawn = run_slot(n, slot_type, None, own)
+            given_rng = RandomSource(seed)
+            payloads = [haar_qubit(given_rng) for _ in range(n)]
+            given = run_slot(n, slot_type, payloads, given_rng)
+            assert drawn == given
+            assert drawn.teleport_fidelity.hex() == given.teleport_fidelity.hex()
+            assert own.random() == given_rng.random()
+
 
 class TestTrafficShape:
     @pytest.mark.parametrize("slot_type", [SlotType.UPLINK, SlotType.DOWNLINK])

@@ -6,6 +6,7 @@ it out. Sampled measurement is checked against exhaustive branch
 probabilities at binomial 3-sigma bounds.
 """
 
+import itertools
 import math
 import pickle
 from functools import reduce
@@ -15,7 +16,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_reference as ref
+from entaccess.circuits import LeaderAwareLayout, prepare_leader_aware
 from entaccess.statevector import (
+    _BRANCH_EPS,
     MAX_DENSE_QUBITS,
     Basis,
     Gate,
@@ -32,8 +36,10 @@ from entaccess.statevector import (
     haar_qubit,
     marginal_distribution,
     measure,
+    measure_sequence,
     product_state,
     tensor_product,
+    _state,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -536,3 +542,121 @@ class TestDenseBudget:
         assert marginal_distribution(state, [0, 63]) == {
             (0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0
         }
+
+
+def measure_loop(state: StateVector, qubits, rng) -> tuple[tuple[int, ...], StateVector]:
+    """The reference ``measure_sequence`` must agree with: ``measure`` on each qubit in turn."""
+    outcomes = []
+    for qubit in qubits:
+        bit, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
+        outcomes.append(bit)
+    return tuple(outcomes), state
+
+
+def blocks(n: int):
+    """Every contiguous, ascending, non-empty block of an n-qubit register."""
+    return [list(range(a, b)) for a in range(n) for b in range(a + 1, n + 1)]
+
+
+def assert_same_state(a: StateVector, b: StateVector) -> None:
+    assert a.num_qubits == b.num_qubits
+    assert a.support.keys() == b.support.keys()
+    assert max(abs(a.support[i] - b.support[i]) for i in a.support) <= 1e-12
+
+
+class TestMeasureSequence:
+    def cases(self):
+        """(state, block) pairs: W and leader-aware contention, random states on every block."""
+        for n in range(1, 9):
+            yield w_state(n), list(range(n))
+        for n in range(1, 10):
+            layout = LeaderAwareLayout(n)
+            yield prepare_leader_aware(n), list(layout.w_qubits)
+        for n in range(1, 6):
+            for block in blocks(n):
+                yield random_state(n, seed=10 * n + len(block)), block
+
+    def test_matches_a_loop_of_measure(self):
+        for state, block in self.cases():
+            for seed in range(30):
+                rng_seq, rng_loop = RandomSource(seed), RandomSource(seed)
+                outcomes, post = measure_sequence(state, block, rng_seq)
+                expected, loop_post = measure_loop(state, block, rng_loop)
+                assert outcomes == expected
+                assert_same_state(post, loop_post)
+                assert rng_seq.random() == rng_loop.random()
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_contention_then_ancilla_readout(self, n):
+        # the protocol's two calls: the W block, then the ancilla block of the post-state
+        layout = LeaderAwareLayout(n)
+        for seed in range(20):
+            rng = RandomSource(seed)
+            w, post = measure_sequence(prepare_leader_aware(n), layout.w_qubits, rng)
+            ancilla, post = measure_sequence(post, layout.ancilla_qubits, rng)
+            winner = w.index(1) + 1
+            assert sum(w) == 1
+            assert ancilla == tuple(((winner - 1) >> j) & 1 for j in range(layout.m))
+            assert len(post.support) == 1
+            assert abs(next(iter(post.support.values()))) == pytest.approx(1.0, abs=1e-12)
+
+    def test_one_draw_per_qubit(self):
+        rng = _FixedRandom(0.3)
+        state = random_state(4, seed=2)
+        measure_sequence(state, [1, 2, 3], rng)
+        assert rng.draws == 3
+        assert measure_sequence(state, [], rng) == ((), state)
+        assert rng.draws == 3
+
+    def test_guard_overrides_float_noise_branch(self):
+        # |00> carries a 1e-34 weight: a draw of 0.0 samples it on qubit 0,
+        # and the _BRANCH_EPS rule turns the outcome into the possible one
+        tiny = 1e-17
+        state = StateVector.from_support(2, {0b00: tiny, 0b11: math.sqrt(1.0 - tiny**2)})
+        rng = _FixedRandom(0.0)
+        outcomes, post = measure_sequence(state, [0, 1], rng)
+        assert outcomes == (1, 1)
+        assert sorted(post.support) == [0b11]
+        assert rng.draws == 2
+        assert outcomes == measure_loop(state, [0, 1], _FixedRandom(0.0))[0]
+
+    @pytest.mark.parametrize("qubits", [[1, 0], [0, 2], [0, 0], [2, 1, 0], [1, 1, 2]])
+    def test_rejects_non_contiguous_descending_or_duplicate(self, qubits):
+        with pytest.raises(ValueError, match="contiguous ascending"):
+            measure_sequence(random_state(3, seed=0), qubits, RandomSource(0))
+
+    def test_rejects_qubits_outside_the_register(self):
+        with pytest.raises(IndexError):
+            measure_sequence(random_state(3, seed=0), [2, 3], RandomSource(0))
+
+    def test_rejects_zero_branch(self):
+        # a weight that underflows to 0.0: no outcome of qubit 0 is possible,
+        # for measure_sequence as for measure (reachable only unchecked)
+        empty = _state(2, {0b01: 1e-200})
+        with pytest.raises(ValueError, match="zero-probability branch"):
+            measure(empty, 0, Basis.COMPUTATIONAL, RandomSource(0))
+        with pytest.raises(ValueError, match="zero-probability branch"):
+            measure_sequence(empty, [0, 1], RandomSource(0))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_dense_reference(self, n):
+        # each outcome is the draw against the dense conditional p0 (with the
+        # _BRANCH_EPS guard), and the post-state is the dense projection
+        states = [random_state(n, seed=n), w_state(n)]
+        states += [
+            prepare_leader_aware(m) for m in range(1, 5) if LeaderAwareLayout(m).num_qubits == n
+        ]
+        for state, block, seed in itertools.product(states, blocks(n), range(5)):
+            outcomes, post = measure_sequence(state, block, RandomSource(seed))
+            draws = RandomSource(seed)
+            amps = state.amplitudes
+            expected = []
+            for qubit in block:
+                p0 = float(np.sum(np.abs(amps[ref.bits(n, qubit) == 0]) ** 2))
+                outcome = 0 if draws.random() < p0 else 1
+                if (p0 if outcome == 0 else 1.0 - p0) <= _BRANCH_EPS:
+                    outcome = 1 - outcome
+                _, amps = ref.project(amps, n, qubit, outcome)
+                expected.append(outcome)
+            assert outcomes == tuple(expected)
+            np.testing.assert_allclose(post.amplitudes, amps, atol=1e-12)
