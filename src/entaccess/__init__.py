@@ -70,6 +70,7 @@ from .statevector import (
     StateVector,
     apply_cnot,
     apply_single,
+    embed,
     enumerate_branches,
     fidelity,
     haar_qubit,

@@ -21,7 +21,7 @@ def ancilla_count(n: int) -> int:
     """Number of ancilla qubits needed to address n end-nodes."""
     if n < 1:
         raise ValueError("need at least one end-node")
-    return 0 if n == 1 else math.ceil(math.log2(n))
+    return (n - 1).bit_length()
 
 
 @dataclass(frozen=True)
@@ -29,14 +29,10 @@ class LeaderAwareLayout:
     """Qubit indexing for the leader-aware register of n end-nodes."""
 
     n: int
+    m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("need at least one end-node")
-
-    @property
-    def m(self) -> int:
-        return ancilla_count(self.n)
+        object.__setattr__(self, "m", ancilla_count(self.n))
 
     @property
     def num_qubits(self) -> int:
@@ -78,16 +74,15 @@ class LeaderAwareLayout:
 
 @dataclass(frozen=True)
 class GateOp:
-    """One circuit entry: gate kind, target, and optional control."""
+    """One CX entry: control and target qubit."""
 
-    kind: str
+    control: int
     target: int
-    control: int | None = None
 
 
 @dataclass
 class GateList:
-    """Ordered CX sequence over a register of declared width; other kinds are rejected."""
+    """Ordered CX sequence over a register of declared width."""
 
     num_qubits: int
     ops: list[GateOp] = field(default_factory=list)
@@ -97,10 +92,6 @@ class GateList:
             self._validate(op)
 
     def _validate(self, op: GateOp) -> None:
-        if op.kind != "CX":
-            raise ValueError(f"unknown gate kind {op.kind!r}")
-        if op.control is None:
-            raise ValueError("CX entry requires a control index")
         if op.control == op.target:
             raise ValueError("CX control and target must differ")
         for q in (op.control, op.target):
@@ -147,9 +138,7 @@ def leader_aware_circuit(n: int) -> GateList:
         code = i - 1
         for j in range(layout.m):
             if (code >> j) & 1:
-                ops.append(
-                    GateOp("CX", control=layout.w_qubit(i), target=layout.ancilla_qubit(j))
-                )
+                ops.append(GateOp(control=layout.w_qubit(i), target=layout.ancilla_qubit(j)))
     return GateList(layout.num_qubits, ops)
 
 
@@ -163,12 +152,12 @@ def prepare_leader_aware(n: int) -> StateVector:
     layout = LeaderAwareLayout(n)
     total = layout.num_qubits
     amp = 1.0 / math.sqrt(n)
+    ancilla_bits = [1 << (total - 1 - q) for q in layout.ancilla_qubits]
     support = {}
-    for i in range(1, n + 1):
-        index = 1 << (total - 1 - layout.w_qubit(i))
-        code = i - 1
-        for j in range(layout.m):
+    for code, w in enumerate(layout.w_qubits):  # W qubit w belongs to node code + 1
+        index = 1 << (total - 1 - w)
+        for j, bit in enumerate(ancilla_bits):
             if (code >> j) & 1:
-                index |= 1 << (total - 1 - layout.ancilla_qubit(j))
+                index |= bit
         support[index] = amp
     return StateVector.from_support(total, support)

@@ -23,6 +23,7 @@ from .statevector import (
     RandomSource,
     StateVector,
     apply_single,
+    embed,
     measure,
 )
 
@@ -148,12 +149,4 @@ def bell_pair_reference(
     Used to check extraction results, where losers sit collapsed in the
     register next to the extracted pair.
     """
-    a, b = pair
-    base = 0
-    for qubit, bit in pinned.items():
-        if bit:
-            base |= 1 << (num_qubits - 1 - qubit)
-    ones = (1 << (num_qubits - 1 - a)) | (1 << (num_qubits - 1 - b))
-    return StateVector.from_support(
-        num_qubits, {base: _SQ2, base | ones: -_SQ2 if minus else _SQ2}
-    )
+    return embed(BELL_PHI_MINUS if minus else BELL_PHI_PLUS, pair, num_qubits, pinned)

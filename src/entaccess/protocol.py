@@ -41,10 +41,10 @@ from .statevector import (
     apply_cnot,
     apply_single,
     bloch_qubit,
+    embed,
     fidelity,
     measure,
     measure_sequence,
-    product_state,
     tensor_product,
 )
 
@@ -99,6 +99,7 @@ class EndNodeReport:
     q: int
 
     BIT_COUNT = 2
+    KIND = "report"
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,7 @@ class OrchestratorBroadcast:
     parity: int
 
     BIT_COUNT = 3
+    KIND = "broadcast"
 
 
 @dataclass(frozen=True)
@@ -137,22 +139,15 @@ class SlotReport:
 
     def to_record(self, slot_index: int) -> dict:
         """JSON-ready trace record for this slot."""
-        msgs = []
-        for m in self.messages:
-            entry: dict = {
+        msgs = [
+            {
                 "from": m.sender,
                 "to": "broadcast" if m.recipient is None else m.recipient,
+                "type": m.payload.KIND,
+                **vars(m.payload),
             }
-            if isinstance(m.payload, EndNodeReport):
-                entry.update(type="report", g=m.payload.g, q=m.payload.q)
-            else:
-                entry.update(
-                    type="broadcast",
-                    q_star=m.payload.q_star,
-                    g0=m.payload.g0,
-                    parity=m.payload.parity,
-                )
-            msgs.append(entry)
+            for m in self.messages
+        ]
         return {
             "slot": slot_index,
             "slot_type": self.outcome.slot_type.value,
@@ -294,11 +289,7 @@ def delivered_fidelity(
     the transmitter's pair qubit to ``g_star`` and the last (payload) to ``q_star``.
     """
     pinned = {**loser_bits, outcome.transmitter: g_star, final.num_qubits - 1: q_star}
-    vectors = [
-        payload.amplitudes if q == outcome.receiver else ((1.0, 0.0), (0.0, 1.0))[pinned[q]]
-        for q in range(final.num_qubits)
-    ]
-    return fidelity(final, product_state(vectors))
+    return fidelity(final, embed(payload, [outcome.receiver], final.num_qubits, pinned))
 
 
 def run_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...], tuple[int, ...]]:

@@ -260,6 +260,31 @@ def product_state(qubit_states: Sequence[Sequence[complex]]) -> StateVector:
     return StateVector.from_support(len(qubit_states), support)
 
 
+def embed(
+    local: StateVector, qubits: Sequence[int], num_qubits: int, pinned: Mapping[int, int]
+) -> StateVector:
+    """``local`` inside a ``num_qubits`` register, its qubit j on qubit ``qubits[j]``.
+
+    Every other qubit holds its bit in ``pinned``, or 0 if absent.
+    """
+    if len(qubits) != local.num_qubits:
+        raise ValueError(f"{len(qubits)} register qubits for a {local.num_qubits}-qubit state")
+    top = num_qubits - 1
+    base = 0
+    for q, bit in pinned.items():
+        if bit and q not in qubits:
+            base |= 1 << (top - q)
+    moves = [(local.num_qubits - 1 - j, 1 << (top - q)) for j, q in enumerate(qubits)]
+    support = {}
+    for i, a in local._support.items():
+        index = base
+        for shift, mask in moves:
+            if (i >> shift) & 1:
+                index |= mask
+        support[index] = a
+    return StateVector.from_support(num_qubits, support)
+
+
 def apply_single(state: StateVector, qubit: int, gate: Gate) -> StateVector:
     """Apply a 2x2 gate to one qubit, pairing each index with its partner across the bit."""
     bit = state._mask(qubit)

@@ -46,6 +46,18 @@ class TestLayout:
         layout = LeaderAwareLayout(n)
         assert LeaderAwareLayout.from_total_qubits(layout.num_qubits).n == n
 
+    def test_ancilla_count_is_exact_at_powers_of_two(self):
+        # a float log2 rounds 2**k + 1 down to k from k = 49 on
+        for k in range(91):
+            assert ancilla_count(2**k) == k
+            assert ancilla_count(2**k + 1) == k + 1
+
+    def test_total_qubits_roundtrip_past_float_precision(self):
+        n = 2**60 + 1
+        layout = LeaderAwareLayout(n)
+        assert layout.m == 61
+        assert LeaderAwareLayout.from_total_qubits(layout.num_qubits).n == n
+
     def test_impossible_total_rejected(self):
         with pytest.raises(ValueError, match="no end-node count"):
             LeaderAwareLayout.from_total_qubits(2)
@@ -106,10 +118,10 @@ class TestLeaderAwareCircuit:
     def test_four_nodes_gate_sequence(self):
         ops = leader_aware_circuit(4).ops
         assert ops == [
-            GateOp("CX", control=1, target=4),
-            GateOp("CX", control=2, target=5),
-            GateOp("CX", control=3, target=4),
-            GateOp("CX", control=3, target=5),
+            GateOp(control=1, target=4),
+            GateOp(control=2, target=5),
+            GateOp(control=3, target=4),
+            GateOp(control=3, target=5),
         ]
 
     def test_single_node_is_empty(self):
@@ -119,9 +131,9 @@ class TestLeaderAwareCircuit:
         circuit = leader_aware_circuit(5)
         assert circuit.num_qubits == 8
         from_w5 = [op for op in circuit.ops if op.control == 4]
-        assert from_w5 == [GateOp("CX", control=4, target=7)]
+        assert from_w5 == [GateOp(control=4, target=7)]
 
-    @pytest.mark.parametrize("n", range(1, 9))
+    @pytest.mark.parametrize("n", [*range(1, 9), 16, 33])
     def test_circuit_matches_direct_preparation(self, n):
         layout = LeaderAwareLayout(n)
         start = prepare_w(n)
@@ -172,17 +184,11 @@ class TestGateList:
 
     def test_rejects_out_of_range_index(self):
         with pytest.raises(ValueError, match="outside register"):
-            GateList(2, [GateOp("CX", control=0, target=2)])
+            GateList(2, [GateOp(control=0, target=2)])
 
     def test_rejects_equal_control_target(self):
         with pytest.raises(ValueError, match="must differ"):
-            GateList(2, [GateOp("CX", control=1, target=1)])
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown gate kind"):
-            GateList(2, [GateOp("RY", target=0)])
-        with pytest.raises(ValueError, match="unknown gate kind 'H'"):
-            GateList(2, [GateOp("H", target=0)])
+            GateList(2, [GateOp(control=1, target=1)])
 
     def test_apply_checks_width(self):
         with pytest.raises(ValueError, match="declares"):

@@ -225,3 +225,30 @@ class TestDeterministicExtraction:
                 fixed = parity_correct(post, parity, p.pair[0])
                 ref = bell_pair_reference(n + 1, p.pair, pinned)
                 assert fidelity(fixed, ref) >= 1.0 - 1e-10
+
+
+def index_arithmetic_bell_pair(num_qubits, pair, pinned, minus=False):
+    """``bell_pair_reference`` built by explicit basis-index arithmetic, without ``embed``."""
+    a, b = pair
+    base = 0
+    for qubit, bit in pinned.items():
+        if bit:
+            base |= 1 << (num_qubits - 1 - qubit)
+    ones = (1 << (num_qubits - 1 - a)) | (1 << (num_qubits - 1 - b))
+    amp = 1.0 / np.sqrt(2.0)
+    return statevector.StateVector.from_support(
+        num_qubits, {base: amp, base | ones: -amp if minus else amp}
+    )
+
+
+class TestBellPairReference:
+    @pytest.mark.parametrize("minus", [False, True])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_index_arithmetic(self, n, minus):
+        rng = np.random.default_rng(n)
+        for a, b in itertools.combinations(range(n + 1), 2):
+            others = [q for q in range(n + 1) if q not in (a, b)]
+            pinned = {q: int(rng.integers(2)) for q in others}
+            got = bell_pair_reference(n + 1, (a, b), pinned, minus)
+            want = index_arithmetic_bell_pair(n + 1, (a, b), pinned, minus)
+            assert list(got.support.items()) == list(want.support.items())

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from entaccess import protocol
 from entaccess.circuits import prepare_leader_aware
 from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS
 from entaccess.protocol import (
@@ -375,6 +376,33 @@ class TestRandomStream:
             assert drawn == given
             assert drawn.teleport_fidelity.hex() == given.teleport_fidelity.hex()
             assert own.random() == given_rng.random()
+
+
+class TestDeliveredFidelity:
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    @pytest.mark.parametrize("n", [1, 2, 5, 14, 64])
+    def test_equals_product_state_reference(self, n, slot_type, monkeypatch):
+        # the embedded reference gives the very float the (n+2)-qubit
+        # product_state reference gives, which perfbench's composed slot rebuilds
+        checked = []
+
+        def recorded(final, outcome, payload, loser_bits, q_star, g_star):
+            got = original(final, outcome, payload, loser_bits, q_star, g_star)
+            pinned = {**loser_bits, outcome.transmitter: g_star, n + 1: q_star}
+            vectors = [
+                ((1.0, 0.0), (0.0, 1.0))[pinned[q]] if q in pinned else payload.amplitudes
+                for q in range(n + 2)
+            ]
+            checked.append((got.hex(), fidelity(final, product_state(vectors)).hex()))
+            return got
+
+        original = protocol.delivered_fidelity
+        monkeypatch.setattr(protocol, "delivered_fidelity", recorded)
+        for seed in range(10):
+            report = run_slot(n, slot_type, None, RandomSource(seed))
+            got, want = checked[-1]
+            assert got == want == report.teleport_fidelity.hex()
+        assert len(checked) == 10
 
 
 class TestTrafficShape:

@@ -31,6 +31,7 @@ from entaccess.statevector import (
     StateVector,
     apply_cnot,
     apply_single,
+    embed,
     enumerate_branches,
     fidelity,
     haar_qubit,
@@ -383,6 +384,35 @@ class TestProductState:
         expected = np.zeros(8)
         expected[0b001] = expected[0b011] = SQ2
         np.testing.assert_allclose(out.amplitudes, expected)
+
+
+class TestEmbed:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_qubit_matches_product_state(self, n):
+        rng = np.random.default_rng(n)
+        for target in range(n):
+            for seed in range(5):
+                local = haar_qubit(RandomSource(seed))
+                alpha, beta = local.amplitudes.tolist()
+                pinned = {q: int(rng.integers(2)) for q in range(n) if q != target}
+                got = embed(local, [target], n, pinned)
+                vectors = [
+                    (alpha, beta) if q == target else ((1.0, 0.0), (0.0, 1.0))[pinned[q]]
+                    for q in range(n)
+                ]
+                want = product_state(vectors)
+                assert list(got.support.items()) == list(want.support.items())
+
+    def test_absent_qubits_are_zero_and_embedded_qubits_ignore_pins(self):
+        local = StateVector.basis_state([1, 0])
+        got = embed(local, [3, 1], 4, {1: 1, 2: 1, 3: 0})
+        assert got == StateVector.basis_state([0, 0, 1, 1])
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(ValueError, match="2 register qubits for a 1-qubit state"):
+            embed(StateVector.qubit(1.0, 0.0), [0, 1], 3, {})
+        with pytest.raises(ValueError, match="1 register qubits for a 2-qubit state"):
+            embed(bell_plus(), [0], 3, {})
 
 
 class TestHaarQubit:
