@@ -14,11 +14,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .statevector import StateVector, apply_cnot
+from .statevector import StateVector, apply_cnot, as_int
 
 
 def ancilla_count(n: int) -> int:
     """Number of ancilla qubits needed to address n end-nodes."""
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("need at least one end-node")
     return (n - 1).bit_length()
@@ -32,6 +33,7 @@ class LeaderAwareLayout:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int("n", self.n))
         object.__setattr__(self, "m", ancilla_count(self.n))
 
     @property
@@ -122,7 +124,7 @@ def prepare_ghz(q: int) -> StateVector:
     if q < 2:
         raise ValueError("GHZ state needs at least two qubits")
     amp = 1.0 / math.sqrt(2.0)
-    return StateVector.from_support(q, {0: amp, (1 << q) - 1: amp})
+    return StateVector(q, {0: amp, (1 << q) - 1: amp})
 
 
 def leader_aware_circuit(n: int) -> GateList:
@@ -160,4 +162,4 @@ def prepare_leader_aware(n: int) -> StateVector:
             if (code >> j) & 1:
                 index |= bit
         support[index] = amp
-    return StateVector.from_support(total, support)
+    return StateVector(total, support)

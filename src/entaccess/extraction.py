@@ -28,8 +28,8 @@ from .statevector import (
 )
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-BELL_PHI_PLUS = StateVector.from_support(2, {0b00: _SQ2, 0b11: _SQ2})
-BELL_PHI_MINUS = StateVector.from_support(2, {0b00: _SQ2, 0b11: -_SQ2})
+BELL_PHI_PLUS = StateVector(2, {0b00: _SQ2, 0b11: _SQ2})
+BELL_PHI_MINUS = StateVector(2, {0b00: _SQ2, 0b11: -_SQ2})
 
 
 @dataclass(frozen=True)

@@ -54,6 +54,7 @@ from .statevector import (
     StateVector,
     apply_cnot,
     apply_single,
+    as_int,
     enumerate_branches,
     tensor_product,
 )
@@ -83,8 +84,10 @@ class SessionConfig:
     trials: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", as_int("n", self.n))
         if self.n < 1:
             raise ValueError("need at least one end-node")
+        object.__setattr__(self, "trials", as_int("trials", self.trials))
         if self.trials < 1:
             raise ValueError("need at least one trial")
         RandomSource.check_seed(self.seed)
@@ -164,6 +167,7 @@ def _per_trial(
     dies, the call raises ``BrokenProcessPool`` and the next call starts a
     fresh pool.
     """
+    jobs = as_int("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
     trial_seeds = [(seed, t) for t in range(trials)]
@@ -263,23 +267,27 @@ class FairnessResult:
         }
 
 
-def _contention_winner(n: int, trial_seed: tuple[int, int]) -> int:
-    winner, _, _ = contend(prepare_leader_aware(n), RandomSource(trial_seed))
+def _contention_winner(leader_aware: StateVector, trial_seed: tuple[int, int]) -> int:
+    winner, _, _ = contend(leader_aware, RandomSource(trial_seed))
     return winner
 
 
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:
     """Repeated contention; chi-square of the winner histogram against uniform.
 
-    The histogram does not depend on ``jobs``.
+    The histogram does not depend on ``jobs``. Every trial contends on the
+    same immutable resource state, built once.
     """
+    n = as_int("n", n)
     if n < 2:
         raise ValueError("fairness needs at least two contending end-nodes")
+    trials = as_int("trials", trials)
     if trials < 1:
         raise ValueError("need at least one trial")
     RandomSource.check_seed(seed)
     histogram = {node: 0 for node in range(1, n + 1)}
-    for winner in _per_trial(partial(_contention_winner, n), seed, trials, jobs):
+    work = partial(_contention_winner, prepare_leader_aware(n))
+    for winner in _per_trial(work, seed, trials, jobs):
         histogram[winner] += 1
     return FairnessResult(n, trials, seed, histogram)
 
@@ -405,6 +413,7 @@ def anonymity_experiment(n: int) -> AnonymityReport:
     broadcast), the posterior over the winner must be uniform across the
     other end-nodes. Reports the largest deviation found.
     """
+    n = as_int("n", n)
     if n < 1:
         raise ValueError("need at least one end-node")
     if n > 4:

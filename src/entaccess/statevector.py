@@ -16,8 +16,10 @@ Conventions:
   1e-17 weight on a branch that is really impossible) stays, and the
   measurement rule ``_BRANCH_EPS`` deals with it exactly as a dense vector
   would.
-- Public constructors validate their input, norm included; the results of
-  gates, measurements and tensor products skip that check.
+- ``StateVector(n, support)`` is the one validating constructor: integer
+  indices in range, norm within ``NORM_TOL``, exact zeros dropped. The
+  results of gates, measurements, tensor products and ``embed`` are built
+  unchecked by ``_state``.
 - Dense views (``amplitudes``, ``marginal_distribution``) refuse registers
   beyond ``MAX_DENSE_QUBITS`` before allocating anything.
 - ``measure_sequence`` measures a contiguous, ascending block of qubits
@@ -32,7 +34,7 @@ import math
 import numbers
 import operator
 from bisect import bisect_left
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import accumulate
 from types import MappingProxyType
@@ -82,57 +84,40 @@ def _check_dense(num_qubits: int, what: str) -> None:
         )
 
 
+@dataclass(frozen=True, slots=True)
 class StateVector:
     """Pure state over ``num_qubits`` labeled qubits (register indices 0..n-1).
 
-    ``StateVector(n, amplitudes)`` takes a dense vector of 2^n amplitudes;
-    ``StateVector.from_support(n, {index: amplitude})`` takes the support.
-    Both validate, through ``__post_init__``, and store the support only.
+    ``StateVector(n, {index: amplitude})`` takes the support; ``__post_init__``
+    validates it and stores its nonzero terms.
     """
 
-    __slots__ = ("num_qubits", "_support")
-
-    def __init__(self, num_qubits: int, amplitudes) -> None:
-        object.__setattr__(self, "num_qubits", num_qubits)
-        object.__setattr__(self, "_support", amplitudes)
-        self.__post_init__()
+    num_qubits: int
+    _support: Mapping[int, complex] = field(repr=False)
 
     def __post_init__(self) -> None:
-        """Validate the constructor input and replace it by the support dict."""
+        """Validate the support mapping and replace it by a dict of its nonzero terms."""
         n = self.num_qubits
         if n < 1:
             raise ValueError("state needs at least one qubit")
-        given = self._support
-        if isinstance(given, Mapping):
-            support = {_basis_index(i): complex(a) for i, a in given.items() if a != 0}
-            for i in support:
-                if not 0 <= i < 1 << n:
-                    raise ValueError(f"basis index {i} out of range for {n} qubits")
-        else:
-            amps = np.asarray(given, dtype=complex).reshape(-1)
-            if amps.shape[0] != 1 << n:
-                raise ValueError(f"expected {1 << n} amplitudes, got {amps.shape[0]}")
-            nonzero = np.flatnonzero(amps)
-            support = dict(zip(nonzero.tolist(), amps[nonzero].tolist()))
+        support = {_basis_index(i): complex(a) for i, a in self._support.items() if a != 0}
+        for i in support:
+            if not 0 <= i < 1 << n:
+                raise ValueError(f"basis index {i} out of range for {n} qubits")
         norm = sum(abs(a) ** 2 for a in support.values())
         if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
         object.__setattr__(self, "_support", support)
 
     @classmethod
-    def from_support(cls, num_qubits: int, support: Mapping[int, complex]) -> StateVector:
-        """State from its nonzero amplitudes, keyed by basis index."""
-        return cls(num_qubits, dict(support))
-
-    @classmethod
     def basis_state(cls, bits: Sequence[int]) -> StateVector:
         """Computational basis state |bits[0] bits[1] ...> (qubit 0 leftmost)."""
-        return cls.from_support(len(bits), {_bits_to_index(bits): 1.0})
+        return cls(len(bits), {_bits_to_index(bits): 1.0})
 
     @classmethod
     def qubit(cls, alpha: complex, beta: complex) -> StateVector:
         """Single-qubit state alpha|0> + beta|1>; (alpha, beta) must be normalized."""
-        return cls.from_support(1, {0: alpha, 1: beta})
+        return cls(1, {0: alpha, 1: beta})
 
     @property
     def support(self) -> Mapping[int, complex]:
@@ -153,25 +138,6 @@ class StateVector:
         if not 0 <= qubit < self.num_qubits:
             raise IndexError(f"qubit {qubit} out of range for {self.num_qubits} qubits")
         return 1 << (self.num_qubits - 1 - qubit)
-
-    def __setattr__(self, name, value) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return _state, (self.num_qubits, self._support)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, StateVector):
-            return NotImplemented
-        return self.num_qubits == other.num_qubits and self._support == other._support
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"StateVector(num_qubits={self.num_qubits})"
 
 
 def _basis_index(i) -> int:
@@ -224,6 +190,13 @@ class RandomSource:
         return 1 if self.random() < 0.5 else 0
 
 
+def as_int(name: str, value) -> int:
+    """``value`` as a Python int; ValueError unless it is an integer (numpy's count)."""
+    if not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 def _bits_to_index(bits: Sequence[int]) -> int:
     index = 0
     for b in bits:
@@ -257,7 +230,7 @@ def product_state(qubit_states: Sequence[Sequence[complex]]) -> StateVector:
             if beta:
                 grown[(i << 1) | 1] = amp * beta
         support = grown
-    return StateVector.from_support(len(qubit_states), support)
+    return StateVector(len(qubit_states), support)
 
 
 def embed(
@@ -265,10 +238,17 @@ def embed(
 ) -> StateVector:
     """``local`` inside a ``num_qubits`` register, its qubit j on qubit ``qubits[j]``.
 
-    Every other qubit holds its bit in ``pinned``, or 0 if absent.
+    Every other qubit holds its bit in ``pinned``, or 0 if absent. Distinct
+    ``qubits`` map the validated ``local`` support one-to-one onto register
+    indices, so the result skips validation.
     """
     if len(qubits) != local.num_qubits:
         raise ValueError(f"{len(qubits)} register qubits for a {local.num_qubits}-qubit state")
+    if len(set(qubits)) != len(qubits):
+        raise ValueError("qubits must be distinct")
+    for q in (*qubits, *pinned):
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
     top = num_qubits - 1
     base = 0
     for q, bit in pinned.items():
@@ -282,7 +262,7 @@ def embed(
             if (i >> shift) & 1:
                 index |= mask
         support[index] = a
-    return StateVector.from_support(num_qubits, support)
+    return _state(num_qubits, support)
 
 
 def apply_single(state: StateVector, qubit: int, gate: Gate) -> StateVector:

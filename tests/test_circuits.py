@@ -25,7 +25,7 @@ def prepare_w(n: int) -> StateVector:
     if n < 1:
         raise ValueError("W state needs at least one qubit")
     amp = 1.0 / math.sqrt(n)
-    return StateVector.from_support(n, {1 << (n - 1 - i): amp for i in range(n)})
+    return StateVector(n, {1 << (n - 1 - i): amp for i in range(n)})
 
 
 class TestLayout:
@@ -33,6 +33,17 @@ class TestLayout:
     def test_ancilla_count(self, n, m):
         assert ancilla_count(n) == m
         assert LeaderAwareLayout(n).m == m
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4"])
+    def test_rejects_non_integer_n(self, n):
+        with pytest.raises(ValueError, match="n must be an integer"):
+            ancilla_count(n)
+        with pytest.raises(ValueError, match="n must be an integer"):
+            LeaderAwareLayout(n)
+
+    def test_accepts_numpy_integers(self):
+        assert ancilla_count(np.int64(5)) == 3
+        assert LeaderAwareLayout(np.int32(4)) == LeaderAwareLayout(4)
 
     def test_qubit_indexing(self):
         layout = LeaderAwareLayout(4)

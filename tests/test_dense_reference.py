@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
+from dense_states import dense_state
 from entaccess.circuits import (
     LeaderAwareLayout,
     leader_aware_circuit,
@@ -58,7 +59,7 @@ def full_support_states():
     """(n, seed, state) for random states whose support is the whole register."""
     for n in range(1, 6):
         for seed in range(3):
-            state = StateVector(n, random_amps(n, np.random.default_rng([n, seed])))
+            state = dense_state(n, random_amps(n, np.random.default_rng([n, seed])))
             assert len(state.support) == 1 << n
             yield n, seed, state
 
@@ -99,8 +100,8 @@ class TestPrimitivesOnFullSupport:
     def test_tensor_product(self):
         gen = np.random.default_rng(11)
         for na, nb in itertools.product(range(1, 4), range(1, 3)):
-            a = StateVector(na, random_amps(na, gen))
-            b = StateVector(nb, random_amps(nb, gen))
+            a = dense_state(na, random_amps(na, gen))
+            b = dense_state(nb, random_amps(nb, gen))
             out = tensor_product(a, b)
             assert out.num_qubits == na + nb
             np.testing.assert_allclose(out.amplitudes, np.kron(a.amplitudes, b.amplitudes))
@@ -116,7 +117,7 @@ class TestPrimitivesOnFullSupport:
     def test_fidelity(self):
         gen = np.random.default_rng(13)
         for n, _, state in full_support_states():
-            other = StateVector(n, random_amps(n, gen))
+            other = dense_state(n, random_amps(n, gen))
             assert fidelity(state, other) == pytest.approx(
                 ref.fidelity(state.amplitudes, other.amplitudes), abs=TOL
             )

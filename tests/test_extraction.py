@@ -236,9 +236,7 @@ def index_arithmetic_bell_pair(num_qubits, pair, pinned, minus=False):
             base |= 1 << (num_qubits - 1 - qubit)
     ones = (1 << (num_qubits - 1 - a)) | (1 << (num_qubits - 1 - b))
     amp = 1.0 / np.sqrt(2.0)
-    return statevector.StateVector.from_support(
-        num_qubits, {base: amp, base | ones: -amp if minus else amp}
-    )
+    return statevector.StateVector(num_qubits, {base: amp, base | ones: -amp if minus else amp})
 
 
 class TestBellPairReference:

@@ -7,6 +7,7 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
@@ -202,6 +203,39 @@ def test_rejects_zero_jobs(experiment):
         experiment()
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "experiment, name",
+    [
+        (lambda jobs: run_session(SessionConfig(n=2.5, seed=1), jobs=jobs), "n"),
+        (lambda jobs: run_session(SessionConfig(n=3, seed=1, trials=2.5), jobs=jobs), "trials"),
+        (lambda jobs: run_session(SessionConfig(n=3, seed=1, trials=4), jobs=jobs + 0.5), "jobs"),
+        (lambda jobs: fairness_experiment(3.0, 10, 1, jobs=jobs), "n"),
+        (lambda jobs: fairness_experiment(3, 10.0, 1, jobs=jobs), "trials"),
+        (lambda jobs: fairness_experiment(3, 10, 1, jobs=jobs + 0.5), "jobs"),
+    ],
+    ids=["session_n", "session_trials", "session_jobs", "fairness_n", "fairness_trials",
+         "fairness_jobs"],
+)
+def test_rejects_non_integer_sizes_before_starting_a_pool(two_cpus, experiment, name, jobs):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        experiment(jobs)
+    assert not entaccess.session._pools
+
+
+def test_anonymity_rejects_non_integer_n():
+    with pytest.raises(ValueError, match="n must be an integer, got 2.0"):
+        anonymity_experiment(2.0)
+
+
+def test_numpy_integer_sizes_accepted():
+    three, eight = np.int64(3), np.int64(8)
+    stats, _ = run_session(SessionConfig(n=three, seed=1, trials=eight), jobs=np.int64(1))
+    assert stats == run_session(SessionConfig(n=3, seed=1, trials=8))[0]
+    assert fairness_experiment(three, eight, 1, np.int64(1)) == fairness_experiment(3, 8, 1)
+    assert anonymity_experiment(np.int64(2)) == anonymity_experiment(2)
+
+
 def _worker_pid(trial_seed: int) -> int:
     # Long enough that every worker of a small pool takes a task.
     time.sleep(0.02)
@@ -311,6 +345,15 @@ class TestFairness:
     def test_histogram_sums_to_trials(self):
         result = fairness_experiment(3, 500, seed=2)
         assert sum(result.histogram.values()) == 500
+
+    def test_resource_built_once_per_experiment(self, monkeypatch):
+        built = []
+        prepare = entaccess.session.prepare_leader_aware
+        monkeypatch.setattr(
+            entaccess.session, "prepare_leader_aware", lambda n: built.append(n) or prepare(n)
+        )
+        fairness_experiment(5, 40, seed=3)
+        assert built == [5]
 
     def test_histogram_independent_of_job_count(self):
         serial = fairness_experiment(3, 200, seed=6)

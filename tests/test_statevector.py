@@ -9,6 +9,7 @@ probabilities at binomial 3-sigma bounds.
 import itertools
 import math
 import pickle
+from dataclasses import FrozenInstanceError
 from functools import reduce
 
 import numpy as np
@@ -17,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from entaccess.circuits import LeaderAwareLayout, prepare_leader_aware
+from dense_states import dense_state
+from entaccess.circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from entaccess.statevector import (
     _BRANCH_EPS,
     MAX_DENSE_QUBITS,
@@ -47,30 +49,30 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def bell_plus() -> StateVector:
-    return StateVector(2, np.array([SQ2, 0, 0, SQ2]))
+    return dense_state(2, np.array([SQ2, 0, 0, SQ2]))
 
 
 def bell_minus() -> StateVector:
-    return StateVector(2, np.array([SQ2, 0, 0, -SQ2]))
+    return dense_state(2, np.array([SQ2, 0, 0, -SQ2]))
 
 
 def ghz(n: int) -> StateVector:
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = amps[-1] = SQ2
-    return StateVector(n, amps)
+    return dense_state(n, amps)
 
 
 def w_state(n: int) -> StateVector:
     amps = np.zeros(1 << n, dtype=complex)
     for i in range(n):
         amps[1 << (n - 1 - i)] = 1.0 / math.sqrt(n)
-    return StateVector(n, amps)
+    return dense_state(n, amps)
 
 
 def random_state(n: int, seed: int) -> StateVector:
     gen = np.random.default_rng(seed)
     amps = gen.normal(size=1 << n) + 1j * gen.normal(size=1 << n)
-    return StateVector(n, amps / np.linalg.norm(amps))
+    return dense_state(n, amps / np.linalg.norm(amps))
 
 
 def kron_oracle(state: StateVector, per_qubit: list[np.ndarray]) -> np.ndarray:
@@ -89,22 +91,101 @@ class TestStateVector:
         s = StateVector.qubit(0.6, 0.8j)
         np.testing.assert_allclose(s.amplitudes, [0.6, 0.8j])
 
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError, match="expected 4 amplitudes"):
-            StateVector(2, np.array([1.0, 0.0]))
-
     def test_rejects_unnormalized(self):
         with pytest.raises(ValueError, match="not normalized"):
-            StateVector(1, np.array([1.0, 1.0]))
+            StateVector(1, {0: 1.0, 1: 1.0})
         # a NaN norm compares false against any tolerance
         with pytest.raises(ValueError, match="nan"):
-            StateVector(1, [math.nan, 0.0])
+            StateVector(1, {0: math.nan})
         with pytest.raises(ValueError, match="nan"):
             StateVector.qubit(math.nan, 0.0)
 
     def test_amplitude_count_is_power_of_two(self):
         s = random_state(5, seed=0)
         assert len(s.amplitudes) == 2**5
+
+
+class TestValueType:
+    """``StateVector`` is a frozen, slotted dataclass over ``(num_qubits, support)``."""
+
+    def test_is_a_frozen_slotted_dataclass(self):
+        assert StateVector.__dataclass_params__.frozen
+        assert StateVector.__slots__ == ("num_qubits", "_support")
+
+    def test_repr_names_only_the_width(self):
+        assert repr(ghz(3)) == "StateVector(num_qubits=3)"
+
+    def test_equality_compares_width_and_support(self):
+        assert StateVector(2, {0b11: SQ2, 0b00: SQ2}) == bell_plus()
+        assert bell_plus() != bell_minus()
+        assert StateVector(1, {0: 1.0}) != StateVector(2, {0: 1.0})
+
+    def test_not_equal_to_other_types(self):
+        assert bell_plus() != "bell_plus"
+        assert bell_plus().__eq__("bell_plus") is NotImplemented
+
+    def test_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(bell_plus())
+
+    @pytest.mark.parametrize("name", ["num_qubits", "_support"])
+    def test_fields_are_frozen(self, name):
+        with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(bell_plus(), name, 1)
+
+
+@pytest.fixture
+def validations(monkeypatch):
+    """Count ``StateVector.__post_init__`` calls, as the benchmark tracer's hook does."""
+    calls = []
+    post_init = StateVector.__post_init__
+
+    def counted(state):
+        post_init(state)
+        calls.append(state.num_qubits)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counted)
+    return calls
+
+
+class TestValidationHook:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: StateVector(2, {0b01: 1.0}),
+            lambda: StateVector.qubit(0.6, 0.8j),
+            lambda: StateVector.basis_state([0, 1, 1]),
+            lambda: product_state([(1.0, 0.0), (SQ2, SQ2)]),
+            lambda: prepare_ghz(4),
+            lambda: prepare_leader_aware(5),
+        ],
+        ids=["init", "qubit", "basis_state", "product_state", "prepare_ghz", "prepare_leader_aware"],
+    )
+    def test_public_construction_validates_once(self, validations, build):
+        build()
+        assert len(validations) == 1
+
+    @pytest.mark.parametrize(
+        "derive",
+        [
+            lambda s: apply_single(s, 0, HADAMARD),
+            lambda s: apply_cnot(s, 0, 4),
+            lambda s: measure(s, 1, Basis.COMPUTATIONAL, RandomSource(0)),
+            lambda s: measure_sequence(s, [0, 1, 2, 3], RandomSource(0)),
+            lambda s: tensor_product(s, s),
+            lambda s: embed(s, [6, 5, 4, 3, 2, 1], 7, {0: 1}),
+            lambda s: pickle.loads(pickle.dumps(s)),
+        ],
+        ids=[
+            "apply_single", "apply_cnot", "measure", "measure_sequence",
+            "tensor_product", "embed", "pickle",
+        ],
+    )
+    def test_derived_states_skip_validation(self, validations, derive):
+        state = prepare_leader_aware(4)
+        validations.clear()
+        derive(state)
+        assert validations == []
 
 
 class TestGates:
@@ -414,6 +495,17 @@ class TestEmbed:
         with pytest.raises(ValueError, match="1 register qubits for a 2-qubit state"):
             embed(bell_plus(), [0], 3, {})
 
+    @pytest.mark.parametrize("q", [3, -1])
+    def test_rejects_qubits_outside_the_register(self, q):
+        local = StateVector.qubit(1.0, 0.0)
+        for qubits, pinned in [([q], {}), ([0], {q: 0}), ([0], {q: 1})]:
+            with pytest.raises(ValueError, match=f"qubit {q} out of range for 3 qubits"):
+                embed(local, qubits, 3, pinned)
+
+    def test_rejects_repeated_qubits(self):
+        with pytest.raises(ValueError, match="distinct"):
+            embed(bell_plus(), [1, 1], 3, {})
+
 
 class TestHaarQubit:
     def test_normalized_and_seeded(self):
@@ -485,19 +577,19 @@ class TestSupportStorage:
     def test_from_support_matches_dense_constructor(self):
         dense = w_state(3)
         amp = 1.0 / math.sqrt(3)
-        sparse = StateVector.from_support(3, {0b100: amp, 0b010: amp, 0b001: amp})
+        sparse = StateVector(3, {0b100: amp, 0b010: amp, 0b001: amp})
         assert sparse == dense
         np.testing.assert_allclose(sparse.amplitudes, dense.amplitudes)
 
     def test_from_support_validates(self):
         with pytest.raises(ValueError, match="out of range"):
-            StateVector.from_support(2, {4: 1.0})
+            StateVector(2, {4: 1.0})
         with pytest.raises(ValueError, match="not normalized"):
-            StateVector.from_support(2, {0: 1.0, 3: 1.0})
+            StateVector(2, {0: 1.0, 3: 1.0})
 
     def test_from_support_rejects_non_integer_index(self):
         with pytest.raises(ValueError, match="basis index 1.7 is not an integer"):
-            StateVector.from_support(2, {1.7: 1.0})
+            StateVector(2, {1.7: 1.0})
 
     def test_exact_zeros_leave_the_support(self):
         out = apply_single(ghz(2), 0, HADAMARD)
@@ -506,7 +598,7 @@ class TestSupportStorage:
 
     def test_tiny_amplitudes_stay_in_the_support(self):
         tiny = 1e-17
-        state = StateVector(1, np.array([math.sqrt(1.0 - tiny**2), tiny]))
+        state = dense_state(1, np.array([math.sqrt(1.0 - tiny**2), tiny]))
         assert sorted(apply_single(state, 0, PAULI_X).support) == [0, 1]
         assert sorted(apply_single(state, 0, HADAMARD).support) == [0, 1]
 
@@ -514,7 +606,7 @@ class TestSupportStorage:
         # a weight of 1e-34 on |0> is float noise: a draw of 0.0 samples it,
         # and the _BRANCH_EPS rule turns the outcome into the possible one
         tiny = 1e-17
-        state = StateVector(1, np.array([tiny, math.sqrt(1.0 - tiny**2)]))
+        state = dense_state(1, np.array([tiny, math.sqrt(1.0 - tiny**2)]))
         rng = _FixedRandom(0.0)
         outcome, post = measure(state, 0, Basis.COMPUTATIONAL, rng)
         assert outcome == 1
@@ -547,7 +639,7 @@ class TestSupportStorage:
 
     def test_wide_registers_are_cheap(self):
         # 300 qubits: a width no dense vector could hold
-        ghz150 = StateVector.from_support(150, {0: SQ2, (1 << 150) - 1: SQ2})
+        ghz150 = StateVector(150, {0: SQ2, (1 << 150) - 1: SQ2})
         wide = tensor_product(StateVector.basis_state([1] * 150), ghz150)
         wide = apply_cnot(apply_single(wide, 0, HADAMARD), 0, 299)
         assert wide.num_qubits == 300
@@ -642,7 +734,7 @@ class TestMeasureSequence:
         # |00> carries a 1e-34 weight: a draw of 0.0 samples it on qubit 0,
         # and the _BRANCH_EPS rule turns the outcome into the possible one
         tiny = 1e-17
-        state = StateVector.from_support(2, {0b00: tiny, 0b11: math.sqrt(1.0 - tiny**2)})
+        state = StateVector(2, {0b00: tiny, 0b11: math.sqrt(1.0 - tiny**2)})
         rng = _FixedRandom(0.0)
         outcomes, post = measure_sequence(state, [0, 1], rng)
         assert outcomes == (1, 1)
