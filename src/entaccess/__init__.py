@@ -63,7 +63,6 @@ from .statevector import (
     Basis,
     Gate,
     HADAMARD,
-    IDENTITY,
     PAULI_X,
     PAULI_Z,
     RandomSource,

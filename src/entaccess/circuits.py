@@ -40,17 +40,6 @@ class LeaderAwareLayout:
     def num_qubits(self) -> int:
         return self.n + self.m
 
-    def w_qubit(self, node: int) -> int:
-        """Register index of end-node ``node``'s W qubit (nodes are 1-based)."""
-        if not 1 <= node <= self.n:
-            raise ValueError(f"end-node index must be in 1..{self.n}, got {node}")
-        return node - 1
-
-    def ancilla_qubit(self, j: int) -> int:
-        if not 0 <= j < self.m:
-            raise ValueError(f"ancilla index must be in 0..{self.m - 1}, got {j}")
-        return self.n + j
-
     @property
     def w_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.n))
@@ -121,6 +110,7 @@ class GateList:
 
 def prepare_ghz(q: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) over q qubits."""
+    q = as_int("q", q)
     if q < 2:
         raise ValueError("GHZ state needs at least two qubits")
     amp = 1.0 / math.sqrt(2.0)
@@ -135,12 +125,12 @@ def leader_aware_circuit(n: int) -> GateList:
     then ascending j.
     """
     layout = LeaderAwareLayout(n)
-    ops = []
-    for i in range(1, n + 1):
-        code = i - 1
-        for j in range(layout.m):
-            if (code >> j) & 1:
-                ops.append(GateOp(control=layout.w_qubit(i), target=layout.ancilla_qubit(j)))
+    ops = [
+        GateOp(control=w, target=a)
+        for code, w in enumerate(layout.w_qubits)  # W qubit w belongs to node code + 1
+        for j, a in enumerate(layout.ancilla_qubits)
+        if (code >> j) & 1
+    ]
     return GateList(layout.num_qubits, ops)
 
 

@@ -14,13 +14,14 @@ orchestrator). A slot runs:
    downlink) teleports a payload qubit over the pair; the receiver applies
    X/Z corrections from the measurement bits plus the losers' parity.
 
-Classical traffic per slot has a fixed shape: every end-node sends exactly
-one two-bit report (losers pad with dummy random bits), and in downlink the
-orchestrator answers with one three-bit broadcast. Nothing on the wire
-depends on who won. An end-node observes its own W bit and the messages
-it sends or receives: its own report and the downlink broadcast, never
-another end-node's report. ``local_view`` is the only definition of that
-view, for ``SlotReport.local_views`` and the anonymity oracle alike.
+Classical traffic per slot has a fixed shape, built by ``slot_messages``:
+every end-node sends exactly one two-bit report (losers pad with dummy
+random bits), and in downlink the orchestrator answers with one three-bit
+broadcast. Nothing on the wire depends on who won. An end-node observes
+its own W bit and the messages it sends or receives: its own report and
+the downlink broadcast, never another end-node's report. ``local_view`` is
+the only definition of that view, for ``SlotReport.local_views`` and the
+anonymity oracle alike.
 """
 
 from __future__ import annotations
@@ -184,6 +185,32 @@ def local_view(node: int, w: int, messages: Sequence[ClassicalMessage]) -> tuple
     return node, w, seen
 
 
+def slot_messages(
+    slot_type: SlotType,
+    reports: dict[int, tuple[int, int]],
+    q_star: int,
+    g_star: int,
+    parity: int,
+) -> tuple[ClassicalMessage, ...]:
+    """Each ``node: (g, q)`` report, addressed to the orchestrator; then, in downlink,
+    the orchestrator's broadcast, unaddressed so that it names no receiver."""
+    messages = [
+        ClassicalMessage(node, ORCHESTRATOR, EndNodeReport(g, q)) for node, (g, q) in reports.items()
+    ]
+    if slot_type is SlotType.DOWNLINK:
+        broadcast = OrchestratorBroadcast(q_star, g_star, parity)
+        messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
+    return tuple(messages)
+
+
+def one_hot_winner(w_outcomes: Sequence[int]) -> int:
+    """The end-node whose W bit reads 1; ``ProtocolError`` unless exactly one does."""
+    winners = [i + 1 for i, w in enumerate(w_outcomes) if w == 1]
+    if len(winners) != 1:
+        raise ProtocolError(f"contention produced {len(winners)} winners: {tuple(w_outcomes)}")
+    return winners[0]
+
+
 def contend(
     leader_aware: StateVector, rng: RandomSource
 ) -> tuple[int, tuple[int, ...], StateVector]:
@@ -195,10 +222,7 @@ def contend(
     """
     layout = LeaderAwareLayout.from_total_qubits(leader_aware.num_qubits)
     outcomes, state = measure_sequence(leader_aware, layout.w_qubits, rng)
-    winners = [i + 1 for i, w in enumerate(outcomes) if w == 1]
-    if len(winners) != 1:
-        raise ProtocolError(f"contention produced {len(winners)} winners: {outcomes}")
-    return winners[0], outcomes, state
+    return one_hot_winner(outcomes), outcomes, state
 
 
 def read_ancillas(
@@ -219,16 +243,29 @@ def decode_ancilla(ancilla: Sequence[int], n: int) -> int:
     return winner
 
 
+def check_ancilla(ancilla: Sequence[int], n: int, winner: int) -> None:
+    """``ProtocolError`` unless the ancilla readout names ``winner``."""
+    decoded = decode_ancilla(ancilla, n)
+    if decoded != winner:
+        raise ProtocolError(
+            f"ancilla readout named node {decoded} but contention winner is {winner}"
+        )
+
+
+def teleport_rotate(state: StateVector, payload_qubit: int, epr_qubit: int) -> StateVector:
+    """The transmitter's rotation: CNOT from the payload onto its pair qubit, then H."""
+    state = apply_cnot(state, payload_qubit, epr_qubit)
+    return apply_single(state, payload_qubit, HADAMARD)
+
+
 def teleport_send(
     state: StateVector, payload_qubit: int, epr_qubit: int, rng: RandomSource
 ) -> tuple[int, int, StateVector]:
     """Transmitter half of teleportation over an already-extracted pair.
 
-    CNOT from the payload onto the local pair qubit, H on the payload, then
-    measure both. Returns (q_star, g_star, post-state).
+    ``teleport_rotate``, then measure both. Returns (q_star, g_star, post-state).
     """
-    state = apply_cnot(state, payload_qubit, epr_qubit)
-    state = apply_single(state, payload_qubit, HADAMARD)
+    state = teleport_rotate(state, payload_qubit, epr_qubit)
     q_star, state = measure(state, payload_qubit, Basis.COMPUTATIONAL, rng)
     g_star, state = measure(state, epr_qubit, Basis.COMPUTATIONAL, rng)
     return q_star, g_star, state
@@ -247,12 +284,6 @@ def teleport_receive(
     if q_star ^ parity:
         state = apply_single(state, epr_qubit, PAULI_Z)
     return state
-
-
-def _as_rng(seed_or_rng: RandomSource | int) -> RandomSource:
-    if isinstance(seed_or_rng, RandomSource):
-        return seed_or_rng
-    return RandomSource(seed_or_rng)
 
 
 def _payloads_for(
@@ -301,19 +332,12 @@ def run_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...], tup
     layout = LeaderAwareLayout(n)
     winner, w_outcomes, lam = contend(prepare_leader_aware(n), rng)
     ancilla, _ = read_ancillas(lam, layout, rng)
-    decoded = decode_ancilla(ancilla, n)
-    if decoded != winner:
-        raise ProtocolError(
-            f"ancilla readout named node {decoded} but contention winner is {winner}"
-        )
+    check_ancilla(ancilla, n, winner)
     return winner, w_outcomes, ancilla
 
 
 def run_slot(
-    n: int,
-    slot_type: SlotType,
-    payloads: Sequence[StateVector] | None = None,
-    rng: RandomSource | int = 0,
+    n: int, slot_type: SlotType, payloads: Sequence[StateVector] | None, rng: RandomSource
 ) -> SlotReport:
     """One slot: contention, EPR extraction, then teleportation over the pair.
 
@@ -323,7 +347,6 @@ def run_slot(
     end-node N_i; only the winner's is consumed. When None, the payloads are
     drawn uniformly from the Bloch sphere using ``rng``.
     """
-    rng = _as_rng(rng)
     payload_of = _payloads_for(n, payloads, rng)
     winner, w_outcomes, ancilla = run_contention(n, rng)
     outcome = ContentionOutcome.for_slot(slot_type, winner)
@@ -338,48 +361,37 @@ def run_slot(
     # Every end-node sends one report. Losers send their extraction bit and a
     # dummy; the winner sends its teleportation bits (uplink) or two random
     # padding bits, g then q, drawn in its turn (downlink).
-    messages = []
+    reports = {}
     for node in range(1, n + 1):
         if node != winner:
-            g, q = ext.outcomes[node], rng.bit()
+            reports[node] = ext.outcomes[node], rng.bit()
         elif uplink:
-            g, q = g_star, q_star
+            reports[node] = g_star, q_star
         else:
-            g, q = rng.bit(), rng.bit()
-        messages.append(ClassicalMessage(node, ORCHESTRATOR, EndNodeReport(g=g, q=q)))
-    parity = 0
-    for msg in messages:
-        if msg.sender != winner:
-            parity ^= msg.payload.g
+            reports[node] = rng.bit(), rng.bit()
     if not uplink:
         q_star, g_star, joint = teleport_send(joint, n + 1, ORCHESTRATOR, rng)
-        broadcast = OrchestratorBroadcast(q_star=q_star, g0=g_star, parity=parity)
-        messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
 
-    final = teleport_receive(joint, outcome.receiver, q_star, g_star, parity)
+    final = teleport_receive(joint, outcome.receiver, q_star, g_star, ext.parity)
     return SlotReport(
         outcome=outcome,
         w_outcomes=w_outcomes,
         ancilla=ancilla,
-        parity=parity,
+        parity=ext.parity,
         teleport_fidelity=delivered_fidelity(final, outcome, payload, ext.outcomes, q_star, g_star),
-        messages=tuple(messages),
+        messages=slot_messages(slot_type, reports, q_star, g_star, ext.parity),
     )
 
 
 def run_uplink_slot(
-    n: int,
-    payloads: Sequence[StateVector] | None = None,
-    rng: RandomSource | int = 0,
+    n: int, payloads: Sequence[StateVector] | None, rng: RandomSource
 ) -> SlotReport:
     """``run_slot`` for an uplink slot."""
     return run_slot(n, SlotType.UPLINK, payloads, rng)
 
 
 def run_downlink_slot(
-    n: int,
-    payloads: Sequence[StateVector] | None = None,
-    rng: RandomSource | int = 0,
+    n: int, payloads: Sequence[StateVector] | None, rng: RandomSource
 ) -> SlotReport:
     """``run_slot`` for a downlink slot."""
     return run_slot(n, SlotType.DOWNLINK, payloads, rng)

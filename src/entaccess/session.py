@@ -30,30 +30,26 @@ from typing import Callable, TypeVar
 from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence
 from .protocol import (
-    ORCHESTRATOR,
-    ClassicalMessage,
     ContentionOutcome,
-    EndNodeReport,
-    OrchestratorBroadcast,
     ProtocolError,
     SlotReport,
     SlotType,
+    check_ancilla,
     contend,
-    decode_ancilla,
     delivered_fidelity,
     local_view,
     message_bits,
     message_shape,
+    one_hot_winner,
     run_slot,
+    slot_messages,
     teleport_receive,
+    teleport_rotate,
 )
 from .statevector import (
     Basis,
-    HADAMARD,
     RandomSource,
     StateVector,
-    apply_cnot,
-    apply_single,
     as_int,
     enumerate_branches,
     tensor_product,
@@ -257,13 +253,14 @@ class FairnessResult:
         return _chisquare(list(self.histogram.values()))[1]
 
     def to_dict(self) -> dict:
+        stat, p_value = _chisquare(list(self.histogram.values()))
         return {
             "n": self.n,
             "trials": self.trials,
             "seed": self.seed,
             "histogram": {str(k): v for k, v in self.histogram.items()},
-            "chi_square": self.chi_square,
-            "p_value": self.p_value,
+            "chi_square": stat,
+            "p_value": p_value,
         }
 
 
@@ -308,11 +305,8 @@ class SlotBranch:
 
     def loser_view(self, loser: int, dummy: int, slot_type: SlotType) -> tuple:
         """``local_view`` of ``loser`` on this branch when its report carries ``dummy``."""
-        report = EndNodeReport(g=self.loser_outcomes[loser], q=dummy)
-        messages = [ClassicalMessage(loser, ORCHESTRATOR, report)]
-        if slot_type is SlotType.DOWNLINK:
-            broadcast = OrchestratorBroadcast(self.q_star, self.g_star, self.parity)
-            messages.append(ClassicalMessage(ORCHESTRATOR, None, broadcast))
+        report = {loser: (self.loser_outcomes[loser], dummy)}
+        messages = slot_messages(slot_type, report, self.q_star, self.g_star, self.parity)
         return local_view(loser, self.w_outcomes[loser - 1], messages)
 
 
@@ -321,9 +315,11 @@ def enumerate_slot_branches(
 ) -> list[SlotBranch]:
     """Walk every measurement branch of one slot; probabilities sum to 1.
 
-    Built from the simulator primitives only (branch enumeration, the
-    per-node extraction unitaries, and the receiver correction rule), so it
-    serves as an independent oracle for the sampled slot runs.
+    It measures by branch enumeration over the per-node extraction
+    unitaries, not by the sampled measurements, so it serves as an
+    independent oracle for the sampled slot runs. The slot rules themselves
+    (the contention checks, the transmitter's rotation, the receiver's
+    corrections and the messages) are the protocol's own, called here.
     """
     if payload is None:
         payload = _PROBE_PAYLOAD
@@ -334,16 +330,12 @@ def enumerate_slot_branches(
     for w_out, w_prob, lam_post in enumerate_branches(
         lam, layout.w_qubits, [comp] * n
     ):
-        winners = [i + 1 for i, w in enumerate(w_out) if w == 1]
-        if len(winners) != 1:
-            raise ProtocolError(f"non one-hot contention branch: {w_out}")
-        winner = winners[0]
+        winner = one_hot_winner(w_out)
         pair = ContentionOutcome.for_slot(slot_type, winner)
         for anc, anc_prob, _ in enumerate_branches(
             lam_post, layout.ancilla_qubits, [comp] * layout.m
         ):
-            if decode_ancilla(anc, n) != winner:
-                raise ProtocolError(f"ancilla branch {anc} does not name winner {winner}")
+            check_ancilla(anc, n, winner)
             pseq = build_p_sequence(winner, n)
             worked = apply_up(prepare_ghz(n + 1), pseq)
             losers = pseq.losers
@@ -354,9 +346,7 @@ def enumerate_slot_branches(
                 parity = 0
                 for g in g_out:
                     parity ^= g
-                joint = tensor_product(ghz_post, payload)
-                joint = apply_cnot(joint, n + 1, pair.transmitter)
-                joint = apply_single(joint, n + 1, HADAMARD)
+                joint = teleport_rotate(tensor_product(ghz_post, payload), n + 1, pair.transmitter)
                 for (q_star, g_star), t_prob, post in enumerate_branches(
                     joint, [n + 1, pair.transmitter], [comp, comp]
                 ):

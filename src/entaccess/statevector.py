@@ -55,10 +55,10 @@ class Basis(Enum):
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A single-qubit gate: a name plus its 2x2 unitary matrix."""
+    """A single-qubit gate: a name plus its 2x2 unitary, checked once, as rows of ``complex``."""
 
     name: str
-    matrix: np.ndarray
+    matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self) -> None:
         m = np.asarray(self.matrix, dtype=complex)
@@ -66,14 +66,13 @@ class Gate:
             raise ValueError(f"gate matrix must be 2x2, got {m.shape}")
         if not np.allclose(m.conj().T @ m, np.eye(2), atol=UNITARY_TOL):
             raise ValueError(f"gate {self.name!r} is not unitary")
-        object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-IDENTITY = Gate("I", np.eye(2))
-HADAMARD = Gate("H", np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]]))
-PAULI_X = Gate("X", np.array([[0.0, 1.0], [1.0, 0.0]]))
-PAULI_Z = Gate("Z", np.array([[1.0, 0.0], [0.0, -1.0]]))
+HADAMARD = Gate("H", ((_SQ2, _SQ2), (_SQ2, -_SQ2)))
+PAULI_X = Gate("X", ((0.0, 1.0), (1.0, 0.0)))
+PAULI_Z = Gate("Z", ((1.0, 0.0), (0.0, -1.0)))
 
 
 def _check_dense(num_qubits: int, what: str) -> None:
@@ -97,7 +96,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         """Validate the support mapping and replace it by a dict of its nonzero terms."""
-        n = self.num_qubits
+        n = as_int("num_qubits", self.num_qubits)
         if n < 1:
             raise ValueError("state needs at least one qubit")
         support = {_basis_index(i): complex(a) for i, a in self._support.items() if a != 0}
@@ -107,6 +106,7 @@ class StateVector:
         norm = sum(abs(a) ** 2 for a in support.values())
         if not abs(norm - 1.0) <= NORM_TOL:  # also rejects a NaN norm
             raise ValueError(f"state not normalized: sum |amp|^2 = {norm!r}")
+        object.__setattr__(self, "num_qubits", n)
         object.__setattr__(self, "_support", support)
 
     @classmethod
@@ -246,6 +246,7 @@ def embed(
         raise ValueError(f"{len(qubits)} register qubits for a {local.num_qubits}-qubit state")
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubits must be distinct")
+    num_qubits = as_int("num_qubits", num_qubits)
     for q in (*qubits, *pinned):
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
@@ -268,7 +269,7 @@ def embed(
 def apply_single(state: StateVector, qubit: int, gate: Gate) -> StateVector:
     """Apply a 2x2 gate to one qubit, pairing each index with its partner across the bit."""
     bit = state._mask(qubit)
-    (m00, m01), (m10, m11) = gate.matrix.tolist()
+    (m00, m01), (m10, m11) = gate.matrix
     old = state._support
     support = {}
     for i, amp in old.items():

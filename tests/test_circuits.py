@@ -47,9 +47,7 @@ class TestLayout:
 
     def test_qubit_indexing(self):
         layout = LeaderAwareLayout(4)
-        assert layout.w_qubit(1) == 0
-        assert layout.w_qubit(4) == 3
-        assert layout.ancilla_qubit(0) == 4
+        assert layout.w_qubits == (0, 1, 2, 3)
         assert layout.ancilla_qubits == (4, 5)
 
     @pytest.mark.parametrize("n", [*range(1, 11), 255, 256, 257, 1023, 1024, 1025])
@@ -98,6 +96,18 @@ class TestPrepareGhz:
     def test_rejects_single_qubit(self):
         with pytest.raises(ValueError):
             prepare_ghz(1)
+
+    @pytest.mark.parametrize("q", [np.int64(64), np.int32(3), np.uint8(70)])
+    def test_numpy_integer_width(self, q):
+        # a fixed-width 1 << q would wrap from 64 qubits on
+        out = prepare_ghz(q)
+        assert type(out.num_qubits) is int and out.num_qubits == int(q)
+        assert dict(out.support) == {0: SQ2, (1 << int(q)) - 1: SQ2}
+
+    @pytest.mark.parametrize("q", [2.0, "3"])
+    def test_rejects_non_integer_width(self, q):
+        with pytest.raises(ValueError, match="q must be an integer"):
+            prepare_ghz(q)
 
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_invariant_under_label_permutation(self, q):

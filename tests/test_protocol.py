@@ -17,13 +17,17 @@ from entaccess.protocol import (
     OrchestratorBroadcast,
     ProtocolError,
     SlotType,
+    check_ancilla,
     contend,
     decode_ancilla,
     message_bits,
     message_shape,
+    one_hot_winner,
+    run_contention,
     run_downlink_slot,
     run_slot,
     run_uplink_slot,
+    slot_messages,
     teleport_receive,
     teleport_send,
 )
@@ -72,6 +76,37 @@ class TestContend:
         corrupted = StateVector.basis_state([0] * 6)  # all-zero W block for n=4
         with pytest.raises(ProtocolError, match="winners"):
             contend(corrupted, RandomSource(0))
+
+
+class TestContentionChecks:
+    """The checks that the sampled slot and the branch oracle share."""
+
+    def test_one_hot_winner_names_the_node(self):
+        assert one_hot_winner((0, 0, 1, 0)) == 3
+
+    @pytest.mark.parametrize("w", [(0, 0, 0), (1, 1, 0), (1, 1, 1)])
+    def test_one_hot_winner_rejects_other_readouts(self, w):
+        with pytest.raises(ProtocolError, match=f"produced {sum(w)} winners"):
+            one_hot_winner(w)
+
+    def test_check_ancilla_accepts_the_winners_codeword(self):
+        check_ancilla((1, 0), 4, 2)
+
+    def test_check_ancilla_rejects_another_node(self):
+        with pytest.raises(ProtocolError, match="named node 3 but contention winner is 2"):
+            check_ancilla((0, 1), 4, 2)
+
+    def test_run_contention_rejects_a_readout_naming_another_node(self, monkeypatch):
+        real = protocol.read_ancillas
+
+        def flipped(state, layout, rng):
+            # with n = 4 the flipped codeword still names a node, just not the winner
+            ancilla, post = real(state, layout, rng)
+            return (1 - ancilla[0], *ancilla[1:]), post
+
+        monkeypatch.setattr(protocol, "read_ancillas", flipped)
+        with pytest.raises(ProtocolError, match="ancilla readout named node"):
+            run_contention(4, RandomSource(0))
 
 
 class TestDecodeAncilla:
@@ -227,6 +262,16 @@ class TestContentionOutcome:
 
 
 class TestMessageHelpers:
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    def test_slot_messages_address_reports_and_not_the_broadcast(self, slot_type):
+        reports = [
+            ClassicalMessage(2, 0, EndNodeReport(g=1, q=0)),
+            ClassicalMessage(1, 0, EndNodeReport(g=0, q=1)),
+        ]
+        broadcast = [ClassicalMessage(0, None, OrchestratorBroadcast(q_star=1, g0=0, parity=1))]
+        expected = reports + (broadcast if slot_type is SlotType.DOWNLINK else [])
+        assert slot_messages(slot_type, {2: (1, 0), 1: (0, 1)}, 1, 0, 1) == tuple(expected)
+
     def test_bit_accounting(self):
         msgs = [
             ClassicalMessage(1, 0, EndNodeReport(0, 1)),
@@ -248,9 +293,6 @@ class TestUplinkSlot:
     def test_delivery_fidelity_every_seed(self, seed):
         report = run_uplink_slot(4, None, RandomSource(seed))
         assert report.teleport_fidelity >= 1.0 - 1e-10
-
-    def test_accepts_bare_seed(self):
-        assert run_uplink_slot(2, None, 7).teleport_fidelity >= 1.0 - 1e-10
 
     @pytest.mark.parametrize("slot_type", list(SlotType), ids=lambda st: st.value)
     def test_fixed_payloads(self, slot_type):
@@ -435,7 +477,7 @@ class TestRunSlot:
         payload = StateVector.qubit(
             math.cos(theta / 2), complex(math.cos(phi), math.sin(phi)) * math.sin(theta / 2)
         )
-        report = run_slot(n, slot_type, [payload] * n, seed)
+        report = run_slot(n, slot_type, [payload] * n, RandomSource(seed))
         winner = report.outcome.winner
         reports = {m.sender: m.payload for m in report.messages[:n]}
         losers_g = {node: r.g for node, r in reports.items() if node != winner}
@@ -451,6 +493,7 @@ class TestRunSlot:
             == (winner, report.w_outcomes, report.ancilla, losers_g, q_star, g_star)
         ]
         assert len(matches) == 1
+        assert matches[0].parity == report.parity
         assert matches[0].delivered_fidelity == pytest.approx(report.teleport_fidelity, abs=1e-12)
         # the oracle's view of each loser, given the dummy it sent, is the slot's
         for node in losers_g:

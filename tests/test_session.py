@@ -1,6 +1,7 @@
 """Session driver, fairness and anonymity experiments, branch enumerator."""
 
 import dataclasses
+import math
 import os
 import signal
 import time
@@ -22,7 +23,7 @@ from entaccess.session import (
     fairness_experiment,
     run_session,
 )
-from entaccess.statevector import RandomSource, haar_qubit
+from entaccess.statevector import RandomSource, StateVector, haar_qubit
 
 
 class TestSessionConfig:
@@ -342,6 +343,17 @@ class TestFairness:
         stat, p = scipy_stats.chisquare(list(result.histogram.values()))
         assert (result.chi_square, result.p_value) == (float(stat), float(p))
 
+    def test_to_dict_computes_one_chi_square(self, monkeypatch):
+        calls = []
+        real = entaccess.session._chisquare
+        monkeypatch.setattr(
+            entaccess.session, "_chisquare", lambda counts: calls.append(counts) or real(counts)
+        )
+        result = fairness_experiment(3, 60, seed=1)
+        out = result.to_dict()
+        assert len(calls) == 1
+        assert (out["chi_square"], out["p_value"]) == (result.chi_square, result.p_value)
+
     def test_histogram_sums_to_trials(self):
         result = fairness_experiment(3, 500, seed=2)
         assert sum(result.histogram.values()) == 500
@@ -411,6 +423,20 @@ class TestEnumerator:
     def test_rejects_slot_type_strings(self):
         with pytest.raises(ValueError, match="'uplink'"):
             enumerate_slot_branches(2, "uplink")
+
+    @pytest.mark.parametrize("w_bits,winners", [((0, 0), 0), ((1, 1), 2)])
+    def test_rejects_a_branch_that_is_not_one_hot(self, monkeypatch, w_bits, winners):
+        state = StateVector.basis_state([*w_bits, 0])  # n = 2: W qubits 0, 1; ancilla 2
+        monkeypatch.setattr(entaccess.session, "prepare_leader_aware", lambda n: state)
+        with pytest.raises(ProtocolError, match=f"produced {winners} winners"):
+            enumerate_slot_branches(2, SlotType.UPLINK)
+
+    def test_rejects_ancillas_naming_another_node(self, monkeypatch):
+        # a W state whose ancilla is never tagged: node 2's branch reads node 1's codeword
+        untagged = StateVector(3, {0b100: 1 / math.sqrt(2), 0b010: 1 / math.sqrt(2)})
+        monkeypatch.setattr(entaccess.session, "prepare_leader_aware", lambda n: untagged)
+        with pytest.raises(ProtocolError, match="named node 1 but contention winner is 2"):
+            enumerate_slot_branches(2, SlotType.DOWNLINK)
 
 
 class TestAnonymity:

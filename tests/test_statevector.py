@@ -26,7 +26,6 @@ from entaccess.statevector import (
     Basis,
     Gate,
     HADAMARD,
-    IDENTITY,
     PAULI_X,
     PAULI_Z,
     RandomSource,
@@ -46,6 +45,7 @@ from entaccess.statevector import (
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
+IDENTITY = Gate("I", np.eye(2))
 
 
 def bell_plus() -> StateVector:
@@ -99,6 +99,17 @@ class TestStateVector:
             StateVector(1, {0: math.nan})
         with pytest.raises(ValueError, match="nan"):
             StateVector.qubit(math.nan, 0.0)
+
+    @pytest.mark.parametrize("n", [np.int64(64), np.int16(3), np.uint64(100)])
+    def test_numpy_integer_width(self, n):
+        s = StateVector(n, {(1 << int(n)) - 1: 1.0})
+        assert type(s.num_qubits) is int and s.num_qubits == int(n)
+        assert StateVector(n, {0: 1.0}) == StateVector(int(n), {0: 1.0})
+
+    @pytest.mark.parametrize("n", [2.0, "2", None])
+    def test_rejects_non_integer_width(self, n):
+        with pytest.raises(ValueError, match="num_qubits must be an integer"):
+            StateVector(n, {0: 1.0})
 
     def test_amplitude_count_is_power_of_two(self):
         s = random_state(5, seed=0)
@@ -191,9 +202,16 @@ class TestValidationHook:
 class TestGates:
     @pytest.mark.parametrize("gate", [IDENTITY, HADAMARD, PAULI_X, PAULI_Z])
     def test_constant_gates_unitary(self, gate):
-        np.testing.assert_allclose(
-            gate.matrix.conj().T @ gate.matrix, np.eye(2), atol=1e-12
-        )
+        m = np.array(gate.matrix)
+        np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
+
+    @pytest.mark.parametrize("gate", [HADAMARD, PAULI_X, PAULI_Z])
+    def test_matrix_is_rows_of_python_complex(self, gate):
+        # the values a numpy matrix's tolist() gives, so products stay bit-identical
+        rows = {"H": [[SQ2, SQ2], [SQ2, -SQ2]], "X": [[0, 1], [1, 0]], "Z": [[1, 0], [0, -1]]}
+        assert type(gate.matrix) is tuple and all(type(row) is tuple for row in gate.matrix)
+        assert all(type(x) is complex for row in gate.matrix for x in row)
+        assert gate.matrix == tuple(map(tuple, np.array(rows[gate.name], dtype=complex).tolist()))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
@@ -468,6 +486,14 @@ class TestProductState:
 
 
 class TestEmbed:
+    def test_numpy_integer_width(self):
+        # a fixed-width top index bit wraps from 64 qubits on and merges the two terms
+        bell = StateVector(2, {0b00: SQ2, 0b11: SQ2})
+        out = embed(bell, [0, 1], np.int64(70), {69: 1})
+        assert type(out.num_qubits) is int
+        assert out == embed(bell, [0, 1], 70, {69: 1})
+        assert sorted(out.support) == [1, (0b11 << 68) | 1]
+
     @pytest.mark.parametrize("n", range(1, 7))
     def test_one_qubit_matches_product_state(self, n):
         rng = np.random.default_rng(n)
