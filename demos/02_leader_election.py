@@ -12,10 +12,10 @@ from collections import Counter
 from entaccess import (
     LeaderAwareLayout,
     RandomSource,
+    circuit_text,
     contend,
     decode_ancilla,
     fairness_experiment,
-    leader_aware_circuit,
     prepare_leader_aware,
     read_ancillas,
 )
@@ -24,7 +24,7 @@ n = 4
 layout = LeaderAwareLayout(n)
 print(f"n = {n} end-nodes, {layout.m} ancilla qubits at the orchestrator")
 print("\ncontention circuit (exported gate list):")
-print(leader_aware_circuit(n).to_text())
+print(circuit_text(n))
 
 print("winner / ancilla correspondence over a few seeded rounds:")
 for seed in range(6):

@@ -6,10 +6,9 @@ protocols that teleport payload qubits over the extracted pair.
 """
 
 from .circuits import (
-    GateList,
-    GateOp,
     LeaderAwareLayout,
     ancilla_count,
+    circuit_text,
     leader_aware_circuit,
     prepare_ghz,
     prepare_leader_aware,
@@ -73,7 +72,6 @@ from .statevector import (
     enumerate_branches,
     fidelity,
     haar_qubit,
-    marginal_distribution,
     measure,
     measure_sequence,
     product_state,

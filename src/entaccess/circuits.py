@@ -4,6 +4,10 @@ The leader-aware state is a W state over the end-nodes' qubits enriched with
 ceil(log2 n) orchestrator-held ancillas. A chain of CNOTs copies the binary
 index of the (future) winner into the ancilla block, so measuring the W
 qubits elects a unique winner while the ancillas collapse to its codeword.
+That chain is plain data: ``leader_aware_circuit(n)`` gives its CNOTs as
+``(control, target)`` pairs, and ``circuit_text(n)`` renders them as the
+``QUBITS``/``CX`` text of ``entaccess export-circuit``. The simulator never
+runs the chain; ``prepare_leader_aware`` writes its n-term result directly.
 
 Register layout for n end-nodes: W qubits 0..n-1 (qubit i-1 belongs to
 end-node N_i), ancillas n..n+m-1 (a_j at index n+j, least significant first).
@@ -14,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .statevector import StateVector, apply_cnot, as_int
+from .statevector import StateVector, as_int
 
 
 def ancilla_count(n: int) -> int:
@@ -63,51 +67,6 @@ class LeaderAwareLayout:
         return cls(n)
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """One CX entry: control and target qubit."""
-
-    control: int
-    target: int
-
-
-@dataclass
-class GateList:
-    """Ordered CX sequence over a register of declared width."""
-
-    num_qubits: int
-    ops: list[GateOp] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        for op in self.ops:
-            self._validate(op)
-
-    def _validate(self, op: GateOp) -> None:
-        if op.control == op.target:
-            raise ValueError("CX control and target must differ")
-        for q in (op.control, op.target):
-            if not 0 <= q < self.num_qubits:
-                raise ValueError(
-                    f"index {q} outside register of width {self.num_qubits}"
-                )
-
-    def apply(self, state: StateVector) -> StateVector:
-        """Simulate the gate sequence onto ``state``."""
-        if state.num_qubits != self.num_qubits:
-            raise ValueError(
-                f"state has {state.num_qubits} qubits, circuit declares {self.num_qubits}"
-            )
-        for op in self.ops:
-            state = apply_cnot(state, op.control, op.target)
-        return state
-
-    def to_text(self) -> str:
-        """Line-oriented export: ``QUBITS <count>`` header, one gate per line."""
-        lines = [f"QUBITS {self.num_qubits}"]
-        lines += [f"CX {op.control} {op.target}" for op in self.ops]
-        return "\n".join(lines) + "\n"
-
-
 def prepare_ghz(q: int) -> StateVector:
     """(|0...0> + |1...1>)/sqrt(2) over q qubits."""
     q = as_int("q", q)
@@ -117,21 +76,27 @@ def prepare_ghz(q: int) -> StateVector:
     return StateVector(q, {0: amp, (1 << q) - 1: amp})
 
 
-def leader_aware_circuit(n: int) -> GateList:
+def leader_aware_circuit(n: int) -> tuple[tuple[int, int], ...]:
     """CNOT chain copying each end-node's index into the ancilla block.
 
-    For end-node N_i, every set bit j of i-1 adds one CNOT controlled by
-    N_i's W qubit targeting ancilla a_j. Emission order is ascending i,
-    then ascending j.
+    One ``(control, target)`` pair per CNOT: for end-node N_i, every set bit
+    j of i-1 adds one CNOT controlled by N_i's W qubit targeting ancilla a_j.
+    Emission order is ascending i, then ascending j.
     """
     layout = LeaderAwareLayout(n)
-    ops = [
-        GateOp(control=w, target=a)
+    return tuple(
+        (w, a)
         for code, w in enumerate(layout.w_qubits)  # W qubit w belongs to node code + 1
         for j, a in enumerate(layout.ancilla_qubits)
         if (code >> j) & 1
-    ]
-    return GateList(layout.num_qubits, ops)
+    )
+
+
+def circuit_text(n: int) -> str:
+    """Line-oriented export: ``QUBITS <count>`` header, then ``CX <control> <target>`` per CNOT."""
+    lines = [f"QUBITS {LeaderAwareLayout(n).num_qubits}"]
+    lines += [f"CX {control} {target}" for control, target in leader_aware_circuit(n)]
+    return "\n".join(lines) + "\n"
 
 
 def prepare_leader_aware(n: int) -> StateVector:

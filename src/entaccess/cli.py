@@ -15,7 +15,7 @@ import argparse
 import json
 import sys
 
-from .circuits import leader_aware_circuit
+from .circuits import circuit_text
 from .protocol import SlotType, run_contention, run_slot
 from .session import (
     DEFAULT_SLOT_PATTERN,
@@ -176,7 +176,7 @@ def _cmd_anonymity(args, fmt: str, path: str | None) -> None:
 
 
 def _cmd_export_circuit(args) -> None:
-    _emit(leader_aware_circuit(args.n).to_text(), args.out)
+    _emit(circuit_text(args.n), args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

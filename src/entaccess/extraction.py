@@ -13,8 +13,10 @@ only, plus the classical outcome bits.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import reduce
+from typing import Iterable
 
 from .statevector import (
     Basis,
@@ -108,6 +110,11 @@ def apply_up(state: StateVector, p: PSequence) -> StateVector:
     return state
 
 
+def loser_parity(outcomes: Iterable[int]) -> int:
+    """XOR of the losers' Hadamard-basis outcome bits: 1 leaves the pair in |Phi->."""
+    return reduce(operator.xor, outcomes, 0)
+
+
 def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> ExtractionResult:
     """Measure every loser qubit in the Hadamard basis, leaving the pair a Bell state.
 
@@ -123,11 +130,10 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
     outcomes: dict[int, int] = {}
     for qubit in p.losers:
         outcomes[qubit], state = measure(state, qubit, Basis.HADAMARD, rng)
-    parity = reduce(lambda acc, g: acc ^ g, outcomes.values(), 0)
     return ExtractionResult(
         pair=p.pair,
         outcomes=outcomes,
-        parity=parity,
+        parity=loser_parity(outcomes.values()),
         state=state,
     )
 

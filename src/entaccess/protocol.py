@@ -244,8 +244,11 @@ def decode_ancilla(ancilla: Sequence[int], n: int) -> int:
 
 
 def check_ancilla(ancilla: Sequence[int], n: int, winner: int) -> None:
-    """``ProtocolError`` unless the ancilla readout names ``winner``."""
-    decoded = decode_ancilla(ancilla, n)
+    """``ProtocolError`` unless the ancilla readout names ``winner``, a node of 1..n."""
+    try:
+        decoded = decode_ancilla(ancilla, n)
+    except ValueError as err:
+        raise ProtocolError(str(err)) from None
     if decoded != winner:
         raise ProtocolError(
             f"ancilla readout named node {decoded} but contention winner is {winner}"

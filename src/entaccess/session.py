@@ -28,7 +28,7 @@ from functools import partial
 from typing import Callable, TypeVar
 
 from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
-from .extraction import apply_up, build_p_sequence
+from .extraction import apply_up, build_p_sequence, loser_parity
 from .protocol import (
     ContentionOutcome,
     ProtocolError,
@@ -343,9 +343,7 @@ def enumerate_slot_branches(
                 worked, losers, [comp] * len(losers)
             ):
                 g_map = dict(zip(losers, g_out))
-                parity = 0
-                for g in g_out:
-                    parity ^= g
+                parity = loser_parity(g_out)
                 joint = teleport_rotate(tensor_product(ghz_post, payload), n + 1, pair.transmitter)
                 for (q_star, g_star), t_prob, post in enumerate_branches(
                     joint, [n + 1, pair.transmitter], [comp, comp]

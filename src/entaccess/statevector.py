@@ -20,8 +20,8 @@ Conventions:
   indices in range, norm within ``NORM_TOL``, exact zeros dropped. The
   results of gates, measurements, tensor products and ``embed`` are built
   unchecked by ``_state``.
-- Dense views (``amplitudes``, ``marginal_distribution``) refuse registers
-  beyond ``MAX_DENSE_QUBITS`` before allocating anything.
+- The dense view ``amplitudes`` refuses registers beyond
+  ``MAX_DENSE_QUBITS`` before allocating anything.
 - ``measure_sequence`` measures a contiguous, ascending block of qubits
   (``[q, q+1, ..., q+k-1]``) in the computational basis and refuses any
   other list. Those qubits are adjacent index bits, so one sort of the
@@ -75,14 +75,6 @@ PAULI_X = Gate("X", ((0.0, 1.0), (1.0, 0.0)))
 PAULI_Z = Gate("Z", ((1.0, 0.0), (0.0, -1.0)))
 
 
-def _check_dense(num_qubits: int, what: str) -> None:
-    if num_qubits > MAX_DENSE_QUBITS:
-        raise ValueError(
-            f"{what} over {num_qubits} qubits would hold 2^{num_qubits} entries; "
-            f"dense views are limited to {MAX_DENSE_QUBITS} qubits"
-        )
-
-
 @dataclass(frozen=True, slots=True)
 class StateVector:
     """Pure state over ``num_qubits`` labeled qubits (register indices 0..n-1).
@@ -110,11 +102,6 @@ class StateVector:
         object.__setattr__(self, "_support", support)
 
     @classmethod
-    def basis_state(cls, bits: Sequence[int]) -> StateVector:
-        """Computational basis state |bits[0] bits[1] ...> (qubit 0 leftmost)."""
-        return cls(len(bits), {_bits_to_index(bits): 1.0})
-
-    @classmethod
     def qubit(cls, alpha: complex, beta: complex) -> StateVector:
         """Single-qubit state alpha|0> + beta|1>; (alpha, beta) must be normalized."""
         return cls(1, {0: alpha, 1: beta})
@@ -127,8 +114,13 @@ class StateVector:
     @property
     def amplitudes(self) -> np.ndarray:
         """Dense, read-only vector of all 2^n amplitudes, built on each access."""
-        _check_dense(self.num_qubits, "dense amplitude vector")
-        amps = np.zeros(1 << self.num_qubits, dtype=complex)
+        n = self.num_qubits
+        if n > MAX_DENSE_QUBITS:
+            raise ValueError(
+                f"dense amplitude vector over {n} qubits would hold 2^{n} entries; "
+                f"dense views are limited to {MAX_DENSE_QUBITS} qubits"
+            )
+        amps = np.zeros(1 << n, dtype=complex)
         amps[np.fromiter(self._support, dtype=np.int64)] = list(self._support.values())
         amps.flags.writeable = False
         return amps
@@ -165,7 +157,6 @@ class RandomSource:
     """
 
     def __init__(self, seed: int | tuple[int, int]):
-        self.seed = seed
         if isinstance(seed, tuple):
             base, trial = seed
             self.check_seed(base)
@@ -195,15 +186,6 @@ def as_int(name: str, value) -> int:
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
-
-
-def _bits_to_index(bits: Sequence[int]) -> int:
-    index = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bit values must be 0 or 1, got {b!r}")
-        index = (index << 1) | b
-    return index
 
 
 def tensor_product(a: StateVector, b: StateVector) -> StateVector:
@@ -443,26 +425,6 @@ def fidelity(state: StateVector, reference: StateVector) -> float:
     ref = reference._support
     overlap = sum(ref[i].conjugate() * a for i, a in state._support.items() if i in ref)
     return float(abs(overlap) ** 2)
-
-
-def marginal_distribution(
-    state: StateVector, qubits: Sequence[int]
-) -> dict[tuple[int, ...], float]:
-    """Computational-basis outcome probabilities on a subset of qubits.
-
-    Every outcome appears, in lexicographic order, zero-probability ones too.
-    """
-    if len(set(qubits)) != len(qubits):
-        raise ValueError("qubits must be distinct")
-    masks = [state._mask(q) for q in qubits]
-    _check_dense(len(qubits), "marginal table")
-    k = len(qubits)
-    table = {
-        tuple((flat >> (k - 1 - j)) & 1 for j in range(k)): 0.0 for flat in range(1 << k)
-    }
-    for i, a in state._support.items():
-        table[tuple(1 if i & m else 0 for m in masks)] += abs(a) ** 2
-    return table
 
 
 def haar_qubit(rng: RandomSource) -> StateVector:

@@ -1,4 +1,4 @@
-"""Resource-state preparation and the contention circuit export."""
+"""Resource-state preparation, the contention circuit as CX pairs, and its text export."""
 
 import itertools
 import math
@@ -6,16 +6,16 @@ import math
 import numpy as np
 import pytest
 
+from dense_states import basis_state
 from entaccess.circuits import (
-    GateList,
-    GateOp,
     LeaderAwareLayout,
     ancilla_count,
+    circuit_text,
     leader_aware_circuit,
     prepare_ghz,
     prepare_leader_aware,
 )
-from entaccess.statevector import StateVector, fidelity, tensor_product
+from entaccess.statevector import StateVector, apply_cnot, fidelity, tensor_product
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -137,30 +137,25 @@ class TestPrepareW:
 
 class TestLeaderAwareCircuit:
     def test_four_nodes_gate_sequence(self):
-        ops = leader_aware_circuit(4).ops
-        assert ops == [
-            GateOp(control=1, target=4),
-            GateOp(control=2, target=5),
-            GateOp(control=3, target=4),
-            GateOp(control=3, target=5),
-        ]
+        assert leader_aware_circuit(4) == ((1, 4), (2, 5), (3, 4), (3, 5))
 
     def test_single_node_is_empty(self):
-        assert leader_aware_circuit(1).ops == []
+        assert leader_aware_circuit(1) == ()
 
     def test_five_nodes_last_node_hits_high_ancilla(self):
-        circuit = leader_aware_circuit(5)
-        assert circuit.num_qubits == 8
-        from_w5 = [op for op in circuit.ops if op.control == 4]
-        assert from_w5 == [GateOp(control=4, target=7)]
+        from_w5 = [(c, t) for c, t in leader_aware_circuit(5) if c == 4]
+        assert from_w5 == [(4, 7)]
+        assert max(t for _, t in leader_aware_circuit(5)) == LeaderAwareLayout(5).num_qubits - 1
 
     @pytest.mark.parametrize("n", [*range(1, 9), 16, 33])
     def test_circuit_matches_direct_preparation(self, n):
         layout = LeaderAwareLayout(n)
         start = prepare_w(n)
         if layout.m:
-            start = tensor_product(start, StateVector.basis_state([0] * layout.m))
-        simulated = leader_aware_circuit(n).apply(start)
+            start = tensor_product(start, basis_state([0] * layout.m))
+        simulated = start
+        for control, target in leader_aware_circuit(n):
+            simulated = apply_cnot(simulated, control, target)
         assert fidelity(simulated, prepare_leader_aware(n)) == pytest.approx(1.0, abs=1e-10)
 
 
@@ -199,18 +194,8 @@ class TestPrepareLeaderAware:
 
 
 class TestGateList:
+    """The CX pairs as the text gate list of ``export-circuit``."""
+
     def test_text_export(self):
-        text = leader_aware_circuit(4).to_text()
+        text = circuit_text(4)
         assert text == "QUBITS 6\nCX 1 4\nCX 2 5\nCX 3 4\nCX 3 5\n"
-
-    def test_rejects_out_of_range_index(self):
-        with pytest.raises(ValueError, match="outside register"):
-            GateList(2, [GateOp(control=0, target=2)])
-
-    def test_rejects_equal_control_target(self):
-        with pytest.raises(ValueError, match="must differ"):
-            GateList(2, [GateOp(control=1, target=1)])
-
-    def test_apply_checks_width(self):
-        with pytest.raises(ValueError, match="declares"):
-            leader_aware_circuit(4).apply(prepare_w(4))

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import dense_reference as ref
-from dense_states import dense_state
+from dense_states import dense_state, marginal_distribution
 from entaccess.circuits import (
     LeaderAwareLayout,
     leader_aware_circuit,
@@ -36,7 +36,6 @@ from entaccess.statevector import (
     apply_single,
     enumerate_branches,
     fidelity,
-    marginal_distribution,
     product_state,
     tensor_product,
 )
@@ -184,8 +183,8 @@ class _Dense:
         amps = np.zeros(1 << total, dtype=complex)
         for qubit in layout.w_qubits:
             amps[1 << (total - 1 - qubit)] = 1.0 / math.sqrt(n)
-        for op in leader_aware_circuit(n).ops:
-            amps = ref.cnot(amps, total, op.control, op.target)
+        for control, target in leader_aware_circuit(n):
+            amps = ref.cnot(amps, total, control, target)
         return total, amps
 
     def ghz(self, q):

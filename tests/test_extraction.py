@@ -19,6 +19,7 @@ from entaccess.extraction import (
     bell_pair_reference,
     build_p_sequence,
     extract_epr,
+    loser_parity,
     parity_correct,
 )
 from entaccess import extraction, statevector
@@ -167,6 +168,13 @@ class TestExtractEpr:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="covers"):
             extract_epr(prepare_ghz(4), PSequence((1, 1, 0)), RandomSource(0))
+
+
+class TestLoserParity:
+    @pytest.mark.parametrize("k", range(5))
+    def test_is_the_xor_of_the_loser_bits(self, k):
+        for bits in itertools.product((0, 1), repeat=k):
+            assert loser_parity(bits) == sum(bits) % 2
 
 
 class TestParityCorrect:

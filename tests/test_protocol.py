@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_states import basis_state, marginal_distribution
 from entaccess import protocol
 from entaccess.circuits import prepare_leader_aware
 from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS
@@ -73,7 +74,7 @@ class TestContend:
         assert all(count > 50 for count in counts.values())
 
     def test_rejects_non_one_hot_state(self):
-        corrupted = StateVector.basis_state([0] * 6)  # all-zero W block for n=4
+        corrupted = basis_state([0] * 6)  # all-zero W block for n=4
         with pytest.raises(ProtocolError, match="winners"):
             contend(corrupted, RandomSource(0))
 
@@ -95,6 +96,10 @@ class TestContentionChecks:
     def test_check_ancilla_rejects_another_node(self):
         with pytest.raises(ProtocolError, match="named node 3 but contention winner is 2"):
             check_ancilla((0, 1), 4, 2)
+
+    def test_check_ancilla_rejects_a_readout_past_n(self):
+        with pytest.raises(ProtocolError, match="decodes to node 4 > n=3"):
+            check_ancilla((1, 1), 3, 1)
 
     def test_run_contention_rejects_a_readout_naming_another_node(self, monkeypatch):
         real = protocol.read_ancillas
@@ -169,7 +174,6 @@ class TestTeleportSend:
         q_star, g_star, post = teleport_send(joint, 0, 1, RandomSource(4))
         assert q_star in (0, 1) and g_star in (0, 1)
         # measured qubits are pinned to the reported outcomes
-        from entaccess.statevector import marginal_distribution
         assert marginal_distribution(post, [0])[(q_star,)] == pytest.approx(1.0)
         assert marginal_distribution(post, [1])[(g_star,)] == pytest.approx(1.0)
 
@@ -204,7 +208,7 @@ class TestTeleportReceive:
         assert len(seen) == 4
 
     def test_plus_payload_survives_every_branch(self):
-        plus = apply_single(StateVector.basis_state([0]), 0, HADAMARD)
+        plus = apply_single(basis_state([0]), 0, HADAMARD)
         for parity in (0, 1):
             for (q_star, g_star), _, post in _teleport_branches(plus, parity):
                 fixed = teleport_receive(post, 2, q_star, g_star, parity)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from dense_states import basis_state
 import entaccess.protocol
 import entaccess.session
 from entaccess.protocol import ProtocolError, SlotType
@@ -426,7 +427,7 @@ class TestEnumerator:
 
     @pytest.mark.parametrize("w_bits,winners", [((0, 0), 0), ((1, 1), 2)])
     def test_rejects_a_branch_that_is_not_one_hot(self, monkeypatch, w_bits, winners):
-        state = StateVector.basis_state([*w_bits, 0])  # n = 2: W qubits 0, 1; ancilla 2
+        state = basis_state([*w_bits, 0])  # n = 2: W qubits 0, 1; ancilla 2
         monkeypatch.setattr(entaccess.session, "prepare_leader_aware", lambda n: state)
         with pytest.raises(ProtocolError, match=f"produced {winners} winners"):
             enumerate_slot_branches(2, SlotType.UPLINK)

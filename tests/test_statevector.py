@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_reference as ref
-from dense_states import dense_state
+from dense_states import basis_state, dense_state, marginal_distribution
 from entaccess.circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from entaccess.statevector import (
     _BRANCH_EPS,
@@ -36,7 +36,6 @@ from entaccess.statevector import (
     enumerate_branches,
     fidelity,
     haar_qubit,
-    marginal_distribution,
     measure,
     measure_sequence,
     product_state,
@@ -83,7 +82,7 @@ def kron_oracle(state: StateVector, per_qubit: list[np.ndarray]) -> np.ndarray:
 
 class TestStateVector:
     def test_basis_state(self):
-        s = StateVector.basis_state([0, 1])
+        s = basis_state([0, 1])
         assert s.num_qubits == 2
         np.testing.assert_allclose(s.amplitudes, [0, 1, 0, 0])
 
@@ -165,12 +164,11 @@ class TestValidationHook:
         [
             lambda: StateVector(2, {0b01: 1.0}),
             lambda: StateVector.qubit(0.6, 0.8j),
-            lambda: StateVector.basis_state([0, 1, 1]),
             lambda: product_state([(1.0, 0.0), (SQ2, SQ2)]),
             lambda: prepare_ghz(4),
             lambda: prepare_leader_aware(5),
         ],
-        ids=["init", "qubit", "basis_state", "product_state", "prepare_ghz", "prepare_leader_aware"],
+        ids=["init", "qubit", "product_state", "prepare_ghz", "prepare_leader_aware"],
     )
     def test_public_construction_validates_once(self, validations, build):
         build()
@@ -220,11 +218,11 @@ class TestGates:
 
 class TestTensorProduct:
     def test_basis_composition(self):
-        out = tensor_product(StateVector.basis_state([0]), StateVector.basis_state([1]))
+        out = tensor_product(basis_state([0]), basis_state([1]))
         np.testing.assert_allclose(out.amplitudes, [0, 1, 0, 0])
 
     def test_bell_with_zero(self):
-        out = tensor_product(bell_plus(), StateVector.basis_state([0]))
+        out = tensor_product(bell_plus(), basis_state([0]))
         expected = np.zeros(8)
         expected[0b000] = expected[0b110] = SQ2
         np.testing.assert_allclose(out.amplitudes, expected)
@@ -236,13 +234,13 @@ class TestTensorProduct:
         assert abs(np.sum(np.abs(out.amplitudes) ** 2) - 1.0) < 1e-10
 
     def test_first_argument_owns_leading_qubits(self):
-        out = tensor_product(StateVector.basis_state([1]), StateVector.basis_state([0, 0]))
+        out = tensor_product(basis_state([1]), basis_state([0, 0]))
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 0, 1, 0, 0, 0])
 
 
 class TestApplySingle:
     def test_hadamard_on_zero(self):
-        out = apply_single(StateVector.basis_state([0]), 0, HADAMARD)
+        out = apply_single(basis_state([0]), 0, HADAMARD)
         np.testing.assert_allclose(out.amplitudes, [SQ2, SQ2])
 
     def test_identity_is_noop(self):
@@ -274,21 +272,21 @@ class TestApplySingle:
 
 class TestApplyCnot:
     def test_control_one_flips_target(self):
-        out = apply_cnot(StateVector.basis_state([1, 0]), 0, 1)
+        out = apply_cnot(basis_state([1, 0]), 0, 1)
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1])
 
     def test_control_zero_is_noop(self):
-        out = apply_cnot(StateVector.basis_state([0, 0]), 0, 1)
+        out = apply_cnot(basis_state([0, 0]), 0, 1)
         np.testing.assert_allclose(out.amplitudes, [1, 0, 0, 0])
 
     def test_reversed_indices(self):
-        out = apply_cnot(StateVector.basis_state([0, 1]), 1, 0)
+        out = apply_cnot(basis_state([0, 1]), 1, 0)
         np.testing.assert_allclose(out.amplitudes, [0, 0, 0, 1])
 
     def test_chain_builds_index_tagged_w_state(self):
         # CNOT chain copying each one-hot position's binary code onto two
         # trailing ancillas: W_4 (x) |00> -> four terms, codes 00,01,10,11.
-        state = tensor_product(w_state(4), StateVector.basis_state([0, 0]))
+        state = tensor_product(w_state(4), basis_state([0, 0]))
         for control, target in [(1, 4), (2, 5), (3, 4), (3, 5)]:
             state = apply_cnot(state, control, target)
         expected = np.zeros(64)
@@ -307,7 +305,7 @@ class TestApplyCnot:
 
 class TestMeasure:
     def test_uniform_superposition_probability(self):
-        plus = apply_single(StateVector.basis_state([0]), 0, HADAMARD)
+        plus = apply_single(basis_state([0]), 0, HADAMARD)
         outcome, post = measure(plus, 0, Basis.COMPUTATIONAL, RandomSource(3))
         assert outcome in (0, 1)
         np.testing.assert_allclose(
@@ -315,7 +313,7 @@ class TestMeasure:
         )
 
     def test_hadamard_basis_on_plus_is_deterministic(self):
-        plus = apply_single(StateVector.basis_state([0]), 0, HADAMARD)
+        plus = apply_single(basis_state([0]), 0, HADAMARD)
         for seed in range(8):
             outcome, _ = measure(plus, 0, Basis.HADAMARD, RandomSource(seed))
             assert outcome == 0
@@ -402,7 +400,7 @@ class TestEnumerateBranches:
 
     def test_zero_probability_branches_omitted(self):
         branches = enumerate_branches(
-            StateVector.basis_state([0, 1]), [0, 1], [Basis.COMPUTATIONAL] * 2
+            basis_state([0, 1]), [0, 1], [Basis.COMPUTATIONAL] * 2
         )
         assert [out for out, _, _ in branches] == [(0, 1)]
 
@@ -417,7 +415,7 @@ class TestFidelity:
         assert fidelity(s, s) == pytest.approx(1.0)
 
     def test_orthogonal_basis_states(self):
-        assert fidelity(StateVector.basis_state([0]), StateVector.basis_state([1])) == 0
+        assert fidelity(basis_state([0]), basis_state([1])) == 0
 
     def test_orthogonal_bell_states(self):
         assert fidelity(bell_plus(), bell_minus()) == pytest.approx(0.0, abs=1e-12)
@@ -434,7 +432,7 @@ class TestMarginalDistribution:
         assert table[(1,)] == pytest.approx(0.5)
 
     def test_index_tagged_w_ancilla_pair_is_uniform(self):
-        state = tensor_product(w_state(4), StateVector.basis_state([0, 0]))
+        state = tensor_product(w_state(4), basis_state([0, 0]))
         for control, target in [(1, 4), (2, 5), (3, 4), (3, 5)]:
             state = apply_cnot(state, control, target)
         table = marginal_distribution(state, [4, 5])
@@ -448,7 +446,7 @@ class TestMarginalDistribution:
         assert table[(0,)] == pytest.approx((n - 1) / n)
 
     def test_respects_requested_order(self):
-        s = StateVector.basis_state([0, 1, 0])
+        s = basis_state([0, 1, 0])
         assert marginal_distribution(s, [1, 0])[(1, 0)] == pytest.approx(1.0)
 
 
@@ -511,9 +509,9 @@ class TestEmbed:
                 assert list(got.support.items()) == list(want.support.items())
 
     def test_absent_qubits_are_zero_and_embedded_qubits_ignore_pins(self):
-        local = StateVector.basis_state([1, 0])
+        local = basis_state([1, 0])
         got = embed(local, [3, 1], 4, {1: 1, 2: 1, 3: 0})
-        assert got == StateVector.basis_state([0, 0, 1, 1])
+        assert got == basis_state([0, 0, 1, 1])
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError, match="2 register qubits for a 1-qubit state"):
@@ -598,7 +596,7 @@ class _FixedRandom:
 class TestSupportStorage:
     def test_support_holds_only_nonzero_amplitudes(self):
         assert dict(ghz(3).support) == {0b000: pytest.approx(SQ2), 0b111: pytest.approx(SQ2)}
-        assert dict(StateVector.basis_state([0, 1, 1]).support) == {0b011: 1.0}
+        assert dict(basis_state([0, 1, 1]).support) == {0b011: 1.0}
 
     def test_from_support_matches_dense_constructor(self):
         dense = w_state(3)
@@ -656,7 +654,7 @@ class TestSupportStorage:
             state.num_qubits = 3
 
     def test_pickle_round_trip(self):
-        for state in (random_state(4, seed=3), w_state(5), StateVector.basis_state([1] * 70)):
+        for state in (random_state(4, seed=3), w_state(5), basis_state([1] * 70)):
             restored = pickle.loads(pickle.dumps(state))
             assert restored == state
             assert restored.num_qubits == state.num_qubits
@@ -666,7 +664,7 @@ class TestSupportStorage:
     def test_wide_registers_are_cheap(self):
         # 300 qubits: a width no dense vector could hold
         ghz150 = StateVector(150, {0: SQ2, (1 << 150) - 1: SQ2})
-        wide = tensor_product(StateVector.basis_state([1] * 150), ghz150)
+        wide = tensor_product(basis_state([1] * 150), ghz150)
         wide = apply_cnot(apply_single(wide, 0, HADAMARD), 0, 299)
         assert wide.num_qubits == 300
         assert len(wide.support) == 4
@@ -679,12 +677,12 @@ class TestSupportStorage:
 
 class TestDenseBudget:
     def test_amplitudes_refused_over_budget(self):
-        state = StateVector.basis_state([0] * 64)
+        state = basis_state([0] * 64)
         with pytest.raises(ValueError, match="64 qubits"):
             state.amplitudes
 
     def test_marginal_table_refused_over_budget(self):
-        state = StateVector.basis_state([0] * 64)
+        state = basis_state([0] * 64)
         with pytest.raises(ValueError, match=f"{MAX_DENSE_QUBITS + 1} qubits"):
             marginal_distribution(state, list(range(MAX_DENSE_QUBITS + 1)))
         assert marginal_distribution(state, [0, 63]) == {
