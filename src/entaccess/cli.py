@@ -102,7 +102,11 @@ def _dump_json(obj) -> str:
 
 
 def _dump_jsonl(records) -> str:
-    return "".join(json.dumps(_round_floats(r), sort_keys=True) + "\n" for r in records)
+    return "".join(_dump_json(r) for r in records)
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def _cmd_elect(args, fmt: str, path: str | None) -> None:
@@ -124,15 +128,7 @@ def _cmd_elect(args, fmt: str, path: str | None) -> None:
 def _cmd_slot(args, fmt: str, path: str | None) -> None:
     record = run_slot(args.n, args.slot_type, None, RandomSource(args.seed)).to_record(0)
     record["seed"] = args.seed
-    _emit(_dump_jsonl([record]) if fmt == "jsonl" else _dump_json(record), path)
-
-
-def _session_csv(stats) -> str:
-    lines = ["slot_type,winner,count"]
-    for st, hist in stats.winner_hist.items():
-        for winner, count in hist.items():
-            lines.append(f"{st},{winner},{count}")
-    return "\n".join(lines) + "\n"
+    _emit(_dump_json(record), path)  # one record: its json and jsonl lines are the same
 
 
 def _cmd_session(args, fmt: str, path: str | None) -> None:
@@ -143,7 +139,8 @@ def _cmd_session(args, fmt: str, path: str | None) -> None:
     if fmt == "jsonl":
         _emit(_dump_jsonl(records), path)
     elif fmt == "csv":
-        _emit(_session_csv(stats), path)
+        rows = ((st, w, c) for st, hist in stats.winner_hist.items() for w, c in hist.items())
+        _emit(_csv("slot_type,winner,count", rows), path)
     else:
         doc = stats.to_dict()
         doc["seed"] = args.seed
@@ -154,10 +151,7 @@ def _cmd_session(args, fmt: str, path: str | None) -> None:
 def _cmd_fairness(args, fmt: str, path: str | None) -> None:
     result = fairness_experiment(args.n, args.trials, args.seed, jobs=args.jobs)
     if fmt == "csv":
-        lines = ["winner,count"]
-        for winner in sorted(result.histogram):
-            lines.append(f"{winner},{result.histogram[winner]}")
-        _emit("\n".join(lines) + "\n", path)
+        _emit(_csv("winner,count", sorted(result.histogram.items())), path)
     else:
         _emit(_dump_json(result.to_dict()), path)
 
@@ -165,12 +159,11 @@ def _cmd_fairness(args, fmt: str, path: str | None) -> None:
 def _cmd_anonymity(args, fmt: str, path: str | None) -> None:
     report = anonymity_experiment(args.n)
     if fmt == "csv":
-        lines = ["slot_type,max_deviation,views,vacuous"]
-        for st, sa in report.per_slot.items():
-            lines.append(
-                f"{st.value},{sa.max_deviation:.12g},{sa.view_count},{int(sa.vacuous)}"
-            )
-        _emit("\n".join(lines) + "\n", path)
+        rows = (
+            (st.value, f"{sa.max_deviation:.12g}", sa.view_count, int(sa.vacuous))
+            for st, sa in report.per_slot.items()
+        )
+        _emit(_csv("slot_type,max_deviation,views,vacuous", rows), path)
     else:
         _emit(_dump_json(report.to_dict()), path)
 
@@ -222,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "(output independent of this)")
     p.set_defaults(func=_cmd_fairness, formats=("json", "csv"))
 
-    p = sub.add_parser("anonymity", help="exhaustive winner-anonymity check (n <= 4)")
+    p = sub.add_parser("anonymity", help="exhaustive winner-anonymity check (n <= 8)")
     add_common(p, seed=False)
     p.set_defaults(func=_cmd_anonymity, formats=("json", "csv"))
 

@@ -20,8 +20,8 @@ random bits), and in downlink the orchestrator answers with one three-bit
 broadcast. Nothing on the wire depends on who won. An end-node observes
 its own W bit and the messages it sends or receives: its own report and
 the downlink broadcast, never another end-node's report. ``local_view`` is
-the only definition of that view, for ``SlotReport.local_views`` and the
-anonymity oracle alike.
+the only definition of that view. A slot's type and winner fix its pair,
+``ContentionOutcome(slot_type, winner)``: who transmits and who receives.
 """
 
 from __future__ import annotations
@@ -63,33 +63,25 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class ContentionOutcome:
-    """The realized transmitter/receiver assignment for one slot."""
+    """One slot's pair: the winner transmits in uplink and receives in downlink,
+    and the orchestrator takes the other role."""
 
     slot_type: SlotType
-    transmitter: int
-    receiver: int
+    winner: int
 
     def __post_init__(self) -> None:
         if not isinstance(self.slot_type, SlotType):
             raise ValueError(f"slot type must be a SlotType, got {self.slot_type!r}")
-        if self.transmitter == self.receiver:
-            raise ValueError("transmitter and receiver must differ")
-        if self.slot_type is SlotType.UPLINK and self.receiver != ORCHESTRATOR:
-            raise ValueError("uplink slots receive at the orchestrator")
-        if self.slot_type is SlotType.DOWNLINK and self.transmitter != ORCHESTRATOR:
-            raise ValueError("downlink slots transmit from the orchestrator")
+        if self.winner == ORCHESTRATOR:
+            raise ValueError("the winner is an end-node, not the orchestrator")
 
     @property
-    def winner(self) -> int:
-        """The end-node member of the pair."""
-        return self.transmitter if self.transmitter != ORCHESTRATOR else self.receiver
+    def transmitter(self) -> int:
+        return self.winner if self.slot_type is SlotType.UPLINK else ORCHESTRATOR
 
-    @classmethod
-    def for_slot(cls, slot_type: SlotType, winner: int) -> ContentionOutcome:
-        """The slot's pair: the winner transmits in uplink and receives in downlink."""
-        if slot_type is SlotType.UPLINK:
-            return cls(slot_type, transmitter=winner, receiver=ORCHESTRATOR)
-        return cls(slot_type, transmitter=ORCHESTRATOR, receiver=winner)
+    @property
+    def receiver(self) -> int:
+        return ORCHESTRATOR if self.slot_type is SlotType.UPLINK else self.winner
 
 
 @dataclass(frozen=True)
@@ -132,11 +124,6 @@ class SlotReport:
     parity: int
     teleport_fidelity: float
     messages: tuple[ClassicalMessage, ...]
-
-    @property
-    def local_views(self) -> dict[int, tuple]:
-        """Each end-node's ``local_view`` of this slot, keyed by node."""
-        return {i: local_view(i, w, self.messages) for i, w in enumerate(self.w_outcomes, 1)}
 
     def to_record(self, slot_index: int) -> dict:
         """JSON-ready trace record for this slot."""
@@ -352,14 +339,14 @@ def run_slot(
     """
     payload_of = _payloads_for(n, payloads, rng)
     winner, w_outcomes, ancilla = run_contention(n, rng)
-    outcome = ContentionOutcome.for_slot(slot_type, winner)
+    outcome = ContentionOutcome(slot_type, winner)
     uplink = slot_type is SlotType.UPLINK
 
     ext = extract_epr(prepare_ghz(n + 1), build_p_sequence(winner, n), rng)
     payload = payload_of(winner)
     joint = tensor_product(ext.state, payload)  # payload joins as qubit n+1
     if uplink:
-        q_star, g_star, joint = teleport_send(joint, n + 1, winner, rng)
+        q_star, g_star, joint = teleport_send(joint, n + 1, outcome.transmitter, rng)
 
     # Every end-node sends one report. Losers send their extraction bit and a
     # dummy; the winner sends its teleportation bits (uplink) or two random
@@ -373,7 +360,7 @@ def run_slot(
         else:
             reports[node] = rng.bit(), rng.bit()
     if not uplink:
-        q_star, g_star, joint = teleport_send(joint, n + 1, ORCHESTRATOR, rng)
+        q_star, g_star, joint = teleport_send(joint, n + 1, outcome.transmitter, rng)
 
     final = teleport_receive(joint, outcome.receiver, q_star, g_star, ext.parity)
     return SlotReport(

@@ -63,6 +63,9 @@ T = TypeVar("T")
 # flips, the complex phase catches sign errors.
 _PROBE_PAYLOAD = StateVector.qubit(0.6, 0.8j)
 
+# Seeds collect_traffic_shapes scans for every winner to appear.
+_TRAFFIC_MAX_SEEDS = 512
+
 
 def _chisquare(counts: list[int]) -> tuple[float, float]:
     """(statistic, p-value) of ``counts`` against the uniform distribution."""
@@ -331,7 +334,7 @@ def enumerate_slot_branches(
         lam, layout.w_qubits, [comp] * n
     ):
         winner = one_hot_winner(w_out)
-        pair = ContentionOutcome.for_slot(slot_type, winner)
+        pair = ContentionOutcome(slot_type, winner)
         for anc, anc_prob, _ in enumerate_branches(
             lam_post, layout.ancilla_qubits, [comp] * layout.m
         ):
@@ -368,7 +371,6 @@ def enumerate_slot_branches(
 
 @dataclass(frozen=True)
 class SlotAnonymity:
-    slot_type: SlotType
     max_deviation: float
     view_count: int
     vacuous: bool
@@ -404,8 +406,8 @@ def anonymity_experiment(n: int) -> AnonymityReport:
     n = as_int("n", n)
     if n < 1:
         raise ValueError("need at least one end-node")
-    if n > 4:
-        raise ValueError("exhaustive anonymity enumeration is limited to n <= 4")
+    if n > 8:
+        raise ValueError("exhaustive anonymity enumeration is limited to n <= 8")
     per_slot: dict[SlotType, SlotAnonymity] = {}
     for slot_type in (SlotType.UPLINK, SlotType.DOWNLINK):
         joint: dict[tuple, dict[int, float]] = {}
@@ -422,7 +424,6 @@ def anonymity_experiment(n: int) -> AnonymityReport:
                 posterior = dist.get(k, 0.0) / total
                 max_dev = max(max_dev, abs(posterior - 1.0 / len(candidates)))
         per_slot[slot_type] = SlotAnonymity(
-            slot_type=slot_type,
             max_deviation=max_dev,
             view_count=len(joint),
             vacuous=n <= 2,
@@ -430,18 +431,16 @@ def anonymity_experiment(n: int) -> AnonymityReport:
     return AnonymityReport(n=n, per_slot=per_slot)
 
 
-def collect_traffic_shapes(
-    n: int, slot_type: SlotType, max_seeds: int = 512
-) -> dict[int, set[tuple]]:
+def collect_traffic_shapes(n: int, slot_type: SlotType) -> dict[int, set[tuple]]:
     """Observed message shapes keyed by winner, scanning seeds until all n winners appear."""
     shapes: dict[int, set[tuple]] = {}
-    for seed in range(max_seeds):
+    for seed in range(_TRAFFIC_MAX_SEEDS):
         report = run_slot(n, slot_type, None, RandomSource(seed))
         shapes.setdefault(report.outcome.winner, set()).add(message_shape(report.messages))
         if len(shapes) == n:
             break
     if len(shapes) < n:
         raise ProtocolError(
-            f"not every winner appeared within {max_seeds} seeds (got {sorted(shapes)})"
+            f"not every winner appeared within {_TRAFFIC_MAX_SEEDS} seeds (got {sorted(shapes)})"
         )
     return shapes

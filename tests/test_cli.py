@@ -196,9 +196,9 @@ class TestAnonymity:
             assert doc["results"][st]["max_deviation"] < 1e-10
 
     def test_too_many_nodes_fails_cleanly(self, capsys):
-        code, _, err = run_cli(capsys, ["anonymity", "--n", "6"])
+        code, _, err = run_cli(capsys, ["anonymity", "--n", "9"])
         assert code == 1
-        assert "n <= 4" in err
+        assert "n <= 8" in err
 
 
 class TestExportCircuit:

@@ -56,7 +56,7 @@ def unread_private_names(source: str) -> list[str]:
 
 def public_definitions(source: str) -> list[str]:
     """Public module-level functions and classes, and ``Class.method`` for each
-    public method of those classes that is not a property."""
+    public method or property of those classes."""
     names = []
     for node in ast.parse(source).body:
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -70,9 +70,6 @@ def public_definitions(source: str) -> list[str]:
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
                 and not item.name.startswith("_")
-                and not any(
-                    isinstance(d, ast.Name) and d.id == "property" for d in item.decorator_list
-                )
             )
     return names
 
@@ -155,4 +152,4 @@ def test_detects_test_only_public_names():
         "class Unused: pass\n"
     )
     readers = ["used()\nk = K()\nk.called()\n", "getattr(K, 'looked_up')\n"]
-    assert unread_public_names(definitions, readers) == ["unused", "K.never", "Unused"]
+    assert unread_public_names(definitions, readers) == ["unused", "K.never", "K.view", "Unused"]

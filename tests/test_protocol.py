@@ -21,6 +21,7 @@ from entaccess.protocol import (
     check_ancilla,
     contend,
     decode_ancilla,
+    local_view,
     message_bits,
     message_shape,
     one_hot_winner,
@@ -235,34 +236,21 @@ class TestTeleportReceive:
 
 class TestContentionOutcome:
     def test_uplink_roles(self):
-        outcome = ContentionOutcome(SlotType.UPLINK, transmitter=3, receiver=0)
-        assert outcome.winner == 3
+        outcome = ContentionOutcome(SlotType.UPLINK, 3)
+        assert (outcome.transmitter, outcome.receiver, outcome.winner) == (3, 0, 3)
 
-    def test_uplink_must_receive_at_orchestrator(self):
-        with pytest.raises(ValueError, match="orchestrator"):
-            ContentionOutcome(SlotType.UPLINK, transmitter=1, receiver=2)
-
-    def test_downlink_must_transmit_from_orchestrator(self):
-        with pytest.raises(ValueError, match="orchestrator"):
-            ContentionOutcome(SlotType.DOWNLINK, transmitter=1, receiver=0)
-
-    def test_pair_members_differ(self):
-        with pytest.raises(ValueError, match="differ"):
-            ContentionOutcome(SlotType.UPLINK, transmitter=0, receiver=0)
-
-    def test_for_slot_picks_the_pair(self):
-        up = ContentionOutcome.for_slot(SlotType.UPLINK, 3)
-        down = ContentionOutcome.for_slot(SlotType.DOWNLINK, 3)
-        assert (up.transmitter, up.receiver) == (3, 0)
-        assert (down.transmitter, down.receiver) == (0, 3)
-
-    def test_for_slot_rejects_slot_type_strings(self):
-        with pytest.raises(ValueError, match="'uplink'"):
-            ContentionOutcome.for_slot("uplink", 1)
+    def test_downlink_roles(self):
+        outcome = ContentionOutcome(SlotType.DOWNLINK, 3)
+        assert (outcome.transmitter, outcome.receiver, outcome.winner) == (0, 3, 3)
 
     def test_rejects_slot_type_strings(self):
         with pytest.raises(ValueError, match="'uplink'"):
-            ContentionOutcome("uplink", 1, 0)
+            ContentionOutcome("uplink", 1)
+
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    def test_rejects_the_orchestrator_as_winner(self, slot_type):
+        with pytest.raises(ValueError, match="orchestrator"):
+            ContentionOutcome(slot_type, 0)
 
 
 class TestMessageHelpers:
@@ -324,7 +312,7 @@ class TestUplinkSlot:
         winner = report.outcome.winner
         for node in range(1, 5):
             # its own W bit and its own report, no other end-node's
-            assert report.local_views[node] == (
+            assert local_view(node, report.w_outcomes[node - 1], report.messages) == (
                 node, int(node == winner), (report.messages[node - 1],)
             )
             assert report.messages[node - 1].sender == node
@@ -358,7 +346,7 @@ class TestDownlinkSlot:
         broadcast = report.messages[-1]
         assert broadcast.recipient is None
         for node in range(1, 4):
-            _, _, seen = report.local_views[node]
+            _, _, seen = local_view(node, report.w_outcomes[node - 1], report.messages)
             assert seen == (report.messages[node - 1], broadcast)
 
     def test_role_duality_with_uplink(self):
@@ -502,4 +490,5 @@ class TestRunSlot:
         # the oracle's view of each loser, given the dummy it sent, is the slot's
         for node in losers_g:
             oracle_view = matches[0].loser_view(node, reports[node].q, slot_type)
-            assert report.local_views[node] == oracle_view
+            w = report.w_outcomes[node - 1]
+            assert local_view(node, w, report.messages) == oracle_view

@@ -458,9 +458,15 @@ class TestAnonymity:
             assert sa.vacuous
             assert sa.max_deviation < 1e-10  # uniform over the single candidate
 
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_uniform_posterior_up_to_the_cap(self, n):
+        report = anonymity_experiment(n)
+        for slot_type in SlotType:
+            assert report.per_slot[slot_type].max_deviation < 1e-10
+
     def test_large_n_rejected(self):
-        with pytest.raises(ValueError, match="n <= 4"):
-            anonymity_experiment(5)
+        with pytest.raises(ValueError, match="n <= 8"):
+            anonymity_experiment(9)
 
     def test_report_serializes(self):
         doc = anonymity_experiment(3).to_dict()
