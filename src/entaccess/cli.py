@@ -4,7 +4,8 @@ Every experiment subcommand requires an explicit --seed so that repeated
 invocations are bitwise reproducible. Numeric output is formatted to 12
 significant digits. Output goes to stdout as JSON by default; --out takes
 either a bare format name (json, jsonl, csv) for stdout or a file path
-whose extension picks the format.
+whose extension picks the format. Subcommands return their output as text
+and write nothing; ``main`` resolves format and destination and writes it.
 
 Exit status: 0 on success, 2 on usage errors, 1 on internal failures.
 """
@@ -89,14 +90,6 @@ def _resolve_output(args) -> tuple[str, str | None]:
     return fmt, out
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-
-
 def _dump_json(obj) -> str:
     return json.dumps(_round_floats(obj), sort_keys=True) + "\n"
 
@@ -109,67 +102,59 @@ def _csv(header: str, rows) -> str:
     return header + "\n" + "".join(",".join(map(str, row)) + "\n" for row in rows)
 
 
-def _cmd_elect(args, fmt: str, path: str | None) -> None:
+def _cmd_elect(args, fmt: str) -> str:
     winner, w_outcomes, ancilla = run_contention(args.n, RandomSource(args.seed))
-    _emit(
-        _dump_json(
-            {
-                "n": args.n,
-                "seed": args.seed,
-                "winner": winner,
-                "w_outcomes": list(w_outcomes),
-                "ancilla": list(ancilla),
-            }
-        ),
-        path,
+    return _dump_json(
+        {
+            "n": args.n,
+            "seed": args.seed,
+            "winner": winner,
+            "w_outcomes": list(w_outcomes),
+            "ancilla": list(ancilla),
+        }
     )
 
 
-def _cmd_slot(args, fmt: str, path: str | None) -> None:
+def _cmd_slot(args, fmt: str) -> str:
     record = run_slot(args.n, args.slot_type, None, RandomSource(args.seed)).to_record(0)
     record["seed"] = args.seed
-    _emit(_dump_json(record), path)  # one record: its json and jsonl lines are the same
+    return _dump_json(record)  # one record: its json and jsonl lines are the same
 
 
-def _cmd_session(args, fmt: str, path: str | None) -> None:
-    config = SessionConfig(
-        n=args.n, seed=args.seed, slots=args.slots, trials=args.trials
-    )
+def _cmd_session(args, fmt: str) -> str:
+    config = SessionConfig(n=args.n, seed=args.seed, slots=args.slots, trials=args.trials)
     stats, records = run_session(config, jobs=args.jobs)
     if fmt == "jsonl":
-        _emit(_dump_jsonl(records), path)
-    elif fmt == "csv":
+        return _dump_jsonl(records)
+    if fmt == "csv":
         rows = ((st, w, c) for st, hist in stats.winner_hist.items() for w, c in hist.items())
-        _emit(_csv("slot_type,winner,count", rows), path)
-    else:
-        doc = stats.to_dict()
-        doc["seed"] = args.seed
-        doc["slots"] = [st.value for st in config.slots]
-        _emit(_dump_json(doc), path)
+        return _csv("slot_type,winner,count", rows)
+    doc = stats.to_dict()
+    doc["seed"] = args.seed
+    doc["slots"] = [st.value for st in config.slots]
+    return _dump_json(doc)
 
 
-def _cmd_fairness(args, fmt: str, path: str | None) -> None:
+def _cmd_fairness(args, fmt: str) -> str:
     result = fairness_experiment(args.n, args.trials, args.seed, jobs=args.jobs)
     if fmt == "csv":
-        _emit(_csv("winner,count", sorted(result.histogram.items())), path)
-    else:
-        _emit(_dump_json(result.to_dict()), path)
+        return _csv("winner,count", sorted(result.histogram.items()))
+    return _dump_json(result.to_dict())
 
 
-def _cmd_anonymity(args, fmt: str, path: str | None) -> None:
+def _cmd_anonymity(args, fmt: str) -> str:
     report = anonymity_experiment(args.n)
     if fmt == "csv":
         rows = (
             (st.value, f"{sa.max_deviation:.12g}", sa.view_count, int(sa.vacuous))
             for st, sa in report.per_slot.items()
         )
-        _emit(_csv("slot_type,max_deviation,views,vacuous", rows), path)
-    else:
-        _emit(_dump_json(report.to_dict()), path)
+        return _csv("slot_type,max_deviation,views,vacuous", rows)
+    return _dump_json(report.to_dict())
 
 
-def _cmd_export_circuit(args) -> None:
-    _emit(circuit_text(args.n), args.out)
+def _cmd_export_circuit(args, fmt) -> str:
+    return circuit_text(args.n)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,6 +174,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, help="output format")
         p.add_argument("--out", help="output: a format name for stdout, or a file path")
 
+    def add_jobs(p):
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker processes for trials, capped at the CPU count "
+                            "(output independent of this)")
+
     p = sub.add_parser("elect", help="run one contention round and report the winner")
     add_common(p)
     p.set_defaults(func=_cmd_elect, formats=("json",))
@@ -203,16 +193,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=_positive_int, default=1, help="trial count")
     p.add_argument("--slots", type=_slot_pattern, default=DEFAULT_SLOT_PATTERN,
                    help="slot pattern, e.g. 'du' or 'downlink,uplink' (default du)")
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for trials, capped at the CPU count "
-                        "(output independent of this)")
+    add_jobs(p)
     p.set_defaults(func=_cmd_session, formats=FORMATS)
 
     p = sub.add_parser("fairness", help="winner-histogram uniformity experiment")
     add_common(p, trials=True)
-    p.add_argument("--jobs", type=_positive_int, default=1,
-                   help="worker processes for trials, capped at the CPU count "
-                        "(output independent of this)")
+    add_jobs(p)
     p.set_defaults(func=_cmd_fairness, formats=("json", "csv"))
 
     p = sub.add_parser("anonymity", help="exhaustive winner-anonymity check (n <= 8)")
@@ -230,8 +216,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.formats is None:
-        invoke = lambda: args.func(args)
+    if args.formats is None:  # export-circuit: --out is a plain path
+        fmt, path = None, args.out
     else:
         try:
             fmt, path = _resolve_output(args)
@@ -239,9 +225,13 @@ def main(argv=None) -> int:
             parser.error(str(exc))
         if fmt not in args.formats:
             parser.error(f"{args.command} does not support {fmt} output")
-        invoke = lambda: args.func(args, fmt, path)
     try:
-        invoke()
+        text = args.func(args, fmt)
+        if path is None:
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
     except Exception as exc:  # internal invariant violations and bad values
         print(f"entaccess: error: {exc}", file=sys.stderr)
         return 1

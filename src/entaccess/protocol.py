@@ -57,6 +57,9 @@ class SlotType(Enum):
     DOWNLINK = "downlink"
 
 
+_UPLINK = SlotType.UPLINK  # for the role properties: SlotType.UPLINK is a metaclass lookup
+
+
 class ProtocolError(RuntimeError):
     """A branch the protocol guarantees impossible was observed."""
 
@@ -77,11 +80,11 @@ class ContentionOutcome:
 
     @property
     def transmitter(self) -> int:
-        return self.winner if self.slot_type is SlotType.UPLINK else ORCHESTRATOR
+        return self.winner if self.slot_type is _UPLINK else ORCHESTRATOR
 
     @property
     def receiver(self) -> int:
-        return ORCHESTRATOR if self.slot_type is SlotType.UPLINK else self.winner
+        return ORCHESTRATOR if self.slot_type is _UPLINK else self.winner
 
 
 @dataclass(frozen=True)

@@ -89,9 +89,10 @@ class SessionConfig:
         object.__setattr__(self, "trials", as_int("trials", self.trials))
         if self.trials < 1:
             raise ValueError("need at least one trial")
-        RandomSource.check_seed(self.seed)
+        object.__setattr__(self, "seed", RandomSource.check_seed(self.seed))
         if not self.slots:
             raise ValueError("slot pattern must not be empty")
+        object.__setattr__(self, "slots", tuple(self.slots))
         for slot_type in self.slots:
             if not isinstance(slot_type, SlotType):
                 raise ValueError(f"slot pattern entries must be SlotType, got {slot_type!r}")
@@ -284,7 +285,7 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
     trials = as_int("trials", trials)
     if trials < 1:
         raise ValueError("need at least one trial")
-    RandomSource.check_seed(seed)
+    seed = RandomSource.check_seed(seed)
     histogram = {node: 0 for node in range(1, n + 1)}
     work = partial(_contention_winner, prepare_leader_aware(n))
     for winner in _per_trial(work, seed, trials, jobs):

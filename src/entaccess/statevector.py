@@ -167,10 +167,11 @@ class RandomSource:
         self._gen = np.random.default_rng(seed)
 
     @staticmethod
-    def check_seed(seed: int) -> None:
-        """Raise ValueError unless ``seed`` is a non-negative integer."""
+    def check_seed(seed: int) -> int:
+        """``seed`` as a Python int; ValueError unless it is a non-negative integer."""
         if not isinstance(seed, numbers.Integral) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        return operator.index(seed)
 
     def random(self) -> float:
         """Next uniform real in [0, 1)."""

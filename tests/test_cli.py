@@ -249,6 +249,33 @@ class TestUsageErrors:
 
 
 class TestOutputFiles:
+    @pytest.mark.parametrize(
+        "argv, ext",
+        [
+            ("elect --n 4 --seed 7", "json"),
+            ("uplink --n 3 --seed 1", "json"),
+            ("uplink --n 3 --seed 1", "jsonl"),
+            ("downlink --n 3 --seed 2", "json"),
+            ("session --n 3 --seed 4 --trials 5", "json"),
+            ("session --n 3 --seed 4 --trials 5", "jsonl"),
+            ("session --n 3 --seed 4 --trials 5", "csv"),
+            ("fairness --n 3 --seed 2 --trials 30", "json"),
+            ("fairness --n 3 --seed 2 --trials 30", "csv"),
+            ("anonymity --n 2", "json"),
+            ("anonymity --n 2", "csv"),
+            ("export-circuit --n 5", None),
+        ],
+    )
+    def test_file_gets_the_stdout_bytes(self, capsys, tmp_path, argv, ext):
+        argv = argv.split()
+        target = tmp_path / f"x.{ext or 'txt'}"
+        code, out, _ = run_cli(capsys, argv + (["--format", ext] if ext else []))
+        assert code == 0
+        code, empty, _ = run_cli(capsys, [*argv, "--out", str(target)])
+        assert code == 0
+        assert empty == ""
+        assert target.read_bytes() == out.encode()
+
     def test_out_path_with_extension(self, capsys, tmp_path):
         target = tmp_path / "trace.jsonl"
         code, out, _ = run_cli(

@@ -53,6 +53,16 @@ class TestSessionConfig:
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             SessionConfig(n=3, seed=seed)
 
+    def test_numpy_seed_stored_as_int(self):
+        config = SessionConfig(n=3, seed=np.int64(1))
+        assert type(config.seed) is int
+        assert config == SessionConfig(n=3, seed=1)
+
+    def test_slot_list_stored_as_tuple(self):
+        config = SessionConfig(n=3, seed=1, slots=[SlotType.UPLINK])
+        assert config.slots == (SlotType.UPLINK,)
+        assert hash(config) == hash(SessionConfig(n=3, seed=1, slots=(SlotType.UPLINK,)))
+
 
 class TestRunSession:
     def test_single_node_single_slot(self):
@@ -236,6 +246,14 @@ def test_numpy_integer_sizes_accepted():
     assert stats == run_session(SessionConfig(n=3, seed=1, trials=8))[0]
     assert fairness_experiment(three, eight, 1, np.int64(1)) == fairness_experiment(3, 8, 1)
     assert anonymity_experiment(np.int64(2)) == anonymity_experiment(2)
+
+
+def test_fairness_numpy_seed_is_json_ready():
+    import json
+
+    result = fairness_experiment(3, 8, np.int64(1))
+    assert type(result.seed) is int
+    assert json.dumps(result.to_dict()) == json.dumps(fairness_experiment(3, 8, 1).to_dict())
 
 
 def _worker_pid(trial_seed: int) -> int:
