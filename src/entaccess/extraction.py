@@ -7,7 +7,9 @@ left holding a Bell pair: |Phi+> when the losers' outcomes have even
 parity, |Phi-> when odd, so one parity-conditioned Z repairs the pair.
 
 Everything here is local: single-qubit gates and single-qubit measurements
-only, plus the classical outcome bits.
+only, plus the classical outcome bits. ``extract_epr`` takes a GHZ-shaped
+state (two terms, on |0...0> and |1...1>), which keeps two terms through
+every loser's measurement, and carries just those two amplitudes.
 """
 
 from __future__ import annotations
@@ -19,14 +21,16 @@ from functools import reduce
 from typing import Iterable
 
 from .statevector import (
-    Basis,
+    _BRANCH_EPS,
     HADAMARD,
     PAULI_Z,
     RandomSource,
     StateVector,
+    _sample,
+    _state,
+    _zero_branch,
     apply_single,
     embed,
-    measure,
 )
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -118,23 +122,50 @@ def loser_parity(outcomes: Iterable[int]) -> int:
 def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> ExtractionResult:
     """Measure every loser qubit in the Hadamard basis, leaving the pair a Bell state.
 
-    The Hadamard-basis measurement is each loser's local unitary and
-    computational readout folded into one step; ``apply_up`` followed by
-    computational measurements gives identical statistics (checked in tests).
+    ``ghz`` must be GHZ-shaped, two terms on |0...0> and |1...1> (any
+    amplitudes), else ValueError. After each loser's H the state has two
+    terms, every unmeasured qubit 0 (``zero``) or every one 1 (``one``), so
+    only their amplitudes are carried, through the float steps of
+    ``measure(state, loser, Basis.HADAMARD, rng)`` with one draw per loser in
+    ascending order. Outcomes, parity and post-state equal that per-loser
+    walk bit for bit (pinned in tests); ``apply_up`` followed by
+    computational measurements gives the same statistics.
     """
     if ghz.num_qubits != len(p):
         raise ValueError(
             f"state has {ghz.num_qubits} qubits but sequence covers {len(p)} nodes"
         )
-    state = ghz
+    num_qubits = ghz.num_qubits
+    top = (1 << num_qubits) - 1
+    support = ghz._support
+    if support.keys() != {0, top}:
+        raise ValueError("extract_epr needs a GHZ-shaped state: terms |0...0> and |1...1> only")
+    (m00, m01), (m10, m11) = HADAMARD.matrix
+    zero, one = support[0], support[top]
+    pinned = 0  # the losers' outcome-1 bits, set in both terms
     outcomes: dict[int, int] = {}
     for qubit in p.losers:
-        outcomes[qubit], state = measure(state, qubit, Basis.HADAMARD, rng)
+        # H on ``qubit``: each term splits into its bit-0 and bit-1 halves
+        zero0, zero1, one0, one1 = m00 * zero, m10 * zero, m01 * one, m11 * one
+        p0 = 0.0 + abs(zero0) ** 2 + abs(one0) ** 2
+        outcome = _sample(p0, rng)
+        prob = (0.0 + abs(zero1) ** 2 + abs(one1) ** 2) if outcome else p0
+        if prob <= _BRANCH_EPS:
+            raise _zero_branch(qubit, outcome, prob)
+        root = math.sqrt(prob)
+        zero, one = (zero1 / root, one1 / root) if outcome else (zero0 / root, one0 / root)
+        outcomes[qubit] = outcome
+        if outcome:
+            pinned |= 1 << (num_qubits - 1 - qubit)
+    pair_bits = sum(1 << (num_qubits - 1 - q) for q in p.pair)
+    terms = [(pinned, zero), (pinned | pair_bits, one)]
+    if next(iter(support)) != 0:
+        terms.reverse()  # keep the input's term order
     return ExtractionResult(
         pair=p.pair,
         outcomes=outcomes,
         parity=loser_parity(outcomes.values()),
-        state=state,
+        state=_state(num_qubits, dict(terms)),
     )
 
 

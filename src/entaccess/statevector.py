@@ -46,6 +46,7 @@ NORM_TOL = 1e-10      # norm / fidelity assertions
 UNITARY_TOL = 1e-12   # constant gate matrices
 _BRANCH_EPS = 1e-12   # probability below which a branch is treated as impossible
 MAX_DENSE_QUBITS = 24  # dense views allocate 2^n entries: 256 MiB of complex at 24
+_DRAW_BLOCK = 64      # uniforms ``RandomSource`` draws from numpy per call
 
 
 class Basis(Enum):
@@ -154,6 +155,11 @@ class RandomSource:
     that keys trial ``trial`` of a seeded experiment. The pair seeds numpy's
     ``SeedSequence(seed, spawn_key=(trial,))``, the child stream numpy
     spawns for ``trial``, so distinct pairs give independent streams.
+
+    Draws are taken from numpy ``_DRAW_BLOCK`` at a time into a buffer and
+    served from it in order. numpy's ``random(k)`` yields the same values as
+    ``k`` scalar ``random()`` calls, so the stream is the scalar one,
+    however ``random`` and ``bit`` calls interleave.
     """
 
     def __init__(self, seed: int | tuple[int, int]):
@@ -165,6 +171,7 @@ class RandomSource:
         else:
             self.check_seed(seed)
         self._gen = np.random.default_rng(seed)
+        self._draws = iter(())
 
     @staticmethod
     def check_seed(seed: int) -> int:
@@ -175,7 +182,11 @@ class RandomSource:
 
     def random(self) -> float:
         """Next uniform real in [0, 1)."""
-        return float(self._gen.random())
+        try:
+            return next(self._draws)
+        except StopIteration:
+            self._draws = iter(self._gen.random(_DRAW_BLOCK).tolist())
+            return next(self._draws)
 
     def bit(self) -> int:
         """Next fair random bit, derived from the uniform stream."""

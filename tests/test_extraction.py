@@ -27,10 +27,64 @@ from entaccess.circuits import prepare_ghz
 from entaccess.statevector import (
     Basis,
     RandomSource,
+    StateVector,
     enumerate_branches,
     fidelity,
     measure,
 )
+
+
+def loser_walk(ghz, p, rng):
+    """Reference extraction: one Hadamard-basis ``measure`` per loser, in order.
+
+    ``measure`` is looked up on its module at call time, so a test can spy on it.
+    """
+    state = ghz
+    outcomes = {}
+    for qubit in p.losers:
+        outcomes[qubit], state = statevector.measure(state, qubit, Basis.HADAMARD, rng)
+    return outcomes, state
+
+
+def exact_terms(state):
+    """Support in order, each amplitude as the ``float.hex`` of its two parts."""
+    return [(i, a.real.hex(), a.imag.hex()) for i, a in state.support.items()]
+
+
+def assert_equals_walk(ghz, p, make_rng):
+    """``extract_epr`` and ``loser_walk`` agree bit for bit, down to the rng's next draw."""
+    rng, walk_rng = make_rng(), make_rng()
+    result = extract_epr(ghz, p, rng)
+    outcomes, state = loser_walk(ghz, p, walk_rng)
+    assert list(result.outcomes.items()) == list(outcomes.items())
+    assert result.parity == loser_parity(outcomes.values())
+    assert exact_terms(result.state) == exact_terms(state)
+    assert rng.random() == walk_rng.random()
+    return result
+
+
+def skewed_ghz(num_qubits, zero_first=True):
+    """0.6|0...0> + 0.8i|1...1>, its terms stored in either order."""
+    terms = [(0, 0.6), ((1 << num_qubits) - 1, 0.8j)]
+    return StateVector(num_qubits, dict(terms if zero_first else terms[::-1]))
+
+
+class GapDraws:
+    """Draws in [0x1.ffffffffffffcp-2, 0.5), between the two p0 values extraction meets.
+
+    A draw there is below a p0 of exactly 0.5 but not below
+    0x1.ffffffffffffcp-2, so an outcome differs from the walk's wherever
+    extraction compares with 0.5 in place of the walk's float p0.
+    """
+
+    DRAWS = [float.fromhex(f"0x1.ffffffffffff{d}p-2") for d in "cdef"]
+
+    def __init__(self):
+        self.count = 0
+
+    def random(self):
+        self.count += 1
+        return self.DRAWS[self.count % 4]
 
 
 class TestPSequence:
@@ -139,8 +193,9 @@ class TestExtractEpr:
             np.testing.assert_allclose(result.state.amplitudes, state.amplitudes, atol=1e-12)
 
     def test_losers_only_measure_their_own_qubit(self, monkeypatch):
-        # Locality: one Hadamard-basis measurement per loser, on its own
-        # qubit, and no gate besides, least of all a two-qubit one.
+        # Locality: no gate besides the losers' own readout, least of all a
+        # two-qubit one, and the result is bit for bit that of one
+        # Hadamard-basis measurement per loser, on its own qubit.
         measured, gates = [], []
 
         def measure_spy(state, qubit, basis, rng):
@@ -153,14 +208,14 @@ class TestExtractEpr:
                 return fn(state, *args)
             return spy
 
-        monkeypatch.setattr(extraction, "measure", measure_spy)
         monkeypatch.setattr(extraction, "apply_single", gate_spy(statevector.apply_single))
         for module in (extraction, statevector):
             monkeypatch.setattr(
                 module, "apply_cnot", gate_spy(statevector.apply_cnot), raising=False
             )
+        monkeypatch.setattr(statevector, "measure", measure_spy)
         p = PSequence((1, 0, 0, 0, 1))
-        result = extract_epr(prepare_ghz(5), p, RandomSource(3))
+        result = assert_equals_walk(prepare_ghz(5), p, lambda: RandomSource(3))
         assert measured == [(q, Basis.HADAMARD) for q in p.losers]
         assert gates == []
         assert sorted(result.outcomes) == list(p.losers)
@@ -168,6 +223,40 @@ class TestExtractEpr:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="covers"):
             extract_epr(prepare_ghz(4), PSequence((1, 1, 0)), RandomSource(0))
+
+
+class TestExtractEprEqualsLoserWalk:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_pair(self, n):
+        for a, b in itertools.combinations(range(n + 1), 2):
+            p = PSequence.for_pair(a, b, n)
+            for ghz in (prepare_ghz(n + 1), skewed_ghz(n + 1), skewed_ghz(n + 1, False)):
+                assert_equals_walk(ghz, p, lambda: RandomSource((n, a * (n + 1) + b)))
+
+    @pytest.mark.parametrize("n", [20, 64, 257, 1024])
+    def test_wide_registers(self, n):
+        for a, b in [(0, 1), (0, n), (n // 2, n - 1)]:
+            p = PSequence.for_pair(a, b, n)
+            for ghz in (prepare_ghz(n + 1), skewed_ghz(n + 1, zero_first=bool(a))):
+                assert_equals_walk(ghz, p, lambda: RandomSource((n, a + b)))
+
+    @pytest.mark.parametrize("n", [3, 8, 64])
+    def test_draws_between_the_two_p0_values(self, n):
+        # A comparison with 0.5 would read every draw here as outcome 0.
+        p = build_p_sequence(n, n)
+        result = assert_equals_walk(prepare_ghz(n + 1), p, GapDraws)
+        assert 1 in result.outcomes.values()
+
+    @pytest.mark.parametrize("terms", [
+        {0b000: 1.0},
+        {0b111: 1.0},
+        {0b010: 1.0},
+        {0b000: 0.5, 0b001: 0.5, 0b110: 0.5, 0b111: 0.5},
+        {0b011: 0.6, 0b100: 0.8},
+    ])
+    def test_rejects_a_support_that_is_not_ghz(self, terms):
+        with pytest.raises(ValueError, match="GHZ-shaped"):
+            extract_epr(StateVector(3, terms), build_p_sequence(1, 2), RandomSource(0))
 
 
 class TestLoserParity:

@@ -22,6 +22,7 @@ from dense_states import basis_state, dense_state, marginal_distribution
 from entaccess.circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from entaccess.statevector import (
     _BRANCH_EPS,
+    _DRAW_BLOCK,
     MAX_DENSE_QUBITS,
     Basis,
     Gate,
@@ -473,6 +474,21 @@ class TestRandomSource:
         draws = {key: RandomSource(key).random() for key in [5, (5, 0), (5, 1), (6, 0)]}
         assert len(set(draws.values())) == 4
         assert RandomSource((5, 1)).random() == draws[(5, 1)]
+
+    @pytest.mark.parametrize("seed", [7, (7, 3)])
+    def test_block_draws_are_the_scalar_stream(self, seed):
+        # Over more than two blocks, with ``bit`` calls interleaved, the
+        # buffered stream equals numpy's one-call-per-uniform stream.
+        if isinstance(seed, tuple):
+            scalar = np.random.default_rng(np.random.SeedSequence(seed[0], spawn_key=seed[1:]))
+        else:
+            scalar = np.random.default_rng(seed)
+        rng = RandomSource(seed)
+        for k in range(2 * _DRAW_BLOCK + 17):
+            if k % 3 == 0:
+                assert rng.bit() == (1 if float(scalar.random()) < 0.5 else 0)
+            else:
+                assert rng.random() == float(scalar.random())
 
 
 class TestProductState:
