@@ -8,6 +8,9 @@ That chain is plain data: ``leader_aware_circuit(n)`` gives its CNOTs as
 ``(control, target)`` pairs, and ``circuit_text(n)`` renders them as the
 ``QUBITS``/``CX`` text of ``entaccess export-circuit``. The simulator never
 runs the chain; ``prepare_leader_aware`` writes its n-term result directly.
+Its two facts, each term's amplitude (``leader_aware_amplitude``) and the
+winner's ancilla tag (``codeword``), are stated here once, for the state,
+the circuit and the closed-form contention of ``protocol``.
 
 Register layout for n end-nodes: W qubits 0..n-1 (qubit i-1 belongs to
 end-node N_i), ancillas n..n+m-1 (a_j at index n+j, least significant first).
@@ -20,6 +23,21 @@ from dataclasses import dataclass, field
 
 from .statevector import StateVector, as_int
 
+MAX_END_NODES = 1_000_000  # a sampled slot peaks near 0.6 kB per end-node: ~0.6 GB at the limit
+
+
+def end_node_count(n: int) -> int:
+    """``n`` as a Python int; ValueError unless 1 <= n <= ``MAX_END_NODES``."""
+    n = as_int("n", n)
+    if n < 1:
+        raise ValueError("need at least one end-node")
+    if n > MAX_END_NODES:
+        raise ValueError(
+            f"n={n} end-nodes is over the limit of {MAX_END_NODES}: "
+            "a slot holds about 0.6 kB per end-node"
+        )
+    return n
+
 
 def ancilla_count(n: int) -> int:
     """Number of ancilla qubits needed to address n end-nodes."""
@@ -27,6 +45,17 @@ def ancilla_count(n: int) -> int:
     if n < 1:
         raise ValueError("need at least one end-node")
     return (n - 1).bit_length()
+
+
+def codeword(node: int, m: int) -> tuple[int, ...]:
+    """The ``m`` ancilla bits that name end-node ``node``: node - 1 in binary,
+    least significant first (a_j holds bit j)."""
+    return tuple(((node - 1) >> j) & 1 for j in range(m))
+
+
+def leader_aware_amplitude(n: int) -> float:
+    """The amplitude of each of the leader-aware state's n terms."""
+    return 1.0 / math.sqrt(n)
 
 
 @dataclass(frozen=True)
@@ -86,9 +115,9 @@ def leader_aware_circuit(n: int) -> tuple[tuple[int, int], ...]:
     layout = LeaderAwareLayout(n)
     return tuple(
         (w, a)
-        for code, w in enumerate(layout.w_qubits)  # W qubit w belongs to node code + 1
-        for j, a in enumerate(layout.ancilla_qubits)
-        if (code >> j) & 1
+        for node, w in enumerate(layout.w_qubits, start=1)
+        for bit, a in zip(codeword(node, layout.m), layout.ancilla_qubits)
+        if bit
     )
 
 
@@ -108,13 +137,13 @@ def prepare_leader_aware(n: int) -> StateVector:
     """
     layout = LeaderAwareLayout(n)
     total = layout.num_qubits
-    amp = 1.0 / math.sqrt(n)
+    amp = leader_aware_amplitude(layout.n)
     ancilla_bits = [1 << (total - 1 - q) for q in layout.ancilla_qubits]
     support = {}
-    for code, w in enumerate(layout.w_qubits):  # W qubit w belongs to node code + 1
+    for node, w in enumerate(layout.w_qubits, start=1):
         index = 1 << (total - 1 - w)
-        for j, bit in enumerate(ancilla_bits):
-            if (code >> j) & 1:
-                index |= bit
+        for bit, mask in zip(codeword(node, layout.m), ancilla_bits):
+            if bit:
+                index |= mask
         support[index] = amp
     return StateVector(total, support)

@@ -6,8 +6,10 @@ a leader-aware state (W qubits at the end-nodes, ancillas at the
 orchestrator). A slot runs:
 
 1. contention: every end-node measures its W qubit; the single node that
-   reads 1 wins the slot, and the ancillas collapse to its index so the
-   orchestrator learns the winner without any classical signaling;
+   reads 1 wins the slot, and the ancillas collapse to its codeword so the
+   orchestrator learns the winner without any classical signaling. A
+   sampled slot draws these outcomes in closed form (``sample_contention``,
+   ``sample_ancillas``), without building the leader-aware state;
 2. extraction: losers vacate the GHZ state with Hadamard-basis
    measurements, leaving a Bell pair between the orchestrator and winner;
 3. teleportation: the slot's transmitter (winner in uplink, orchestrator in
@@ -28,9 +30,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from typing import Callable, Sequence
 
-from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
+from .circuits import (
+    LeaderAwareLayout,
+    ancilla_count,
+    codeword,
+    end_node_count,
+    leader_aware_amplitude,
+    prepare_ghz,
+)
 from .extraction import build_p_sequence, extract_epr
 from .statevector import (
     Basis,
@@ -39,6 +49,7 @@ from .statevector import (
     PAULI_Z,
     RandomSource,
     StateVector,
+    _sample_branch,
     apply_cnot,
     apply_single,
     bloch_qubit,
@@ -222,6 +233,46 @@ def read_ancillas(
     return measure_sequence(state, layout.ancilla_qubits, rng)
 
 
+def sample_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...]]:
+    """``contend(prepare_leader_aware(n), rng)`` in closed form: (winner, W outcomes).
+
+    The leader-aware support is n terms of equal weight, and its W block is
+    one-hot, so ``measure_sequence``'s walk over it is fixed by integers and
+    one prefix-sum list of the n weights: sorted by W bits, node k's term sits
+    at n - k. Until a node has won, the draw for W qubit j (node j+1)
+    compares with the weight of nodes j+2..n over that of nodes j+1..n; after
+    it only the winner's term is left, so each draw compares with 1.0 and
+    reads 0. Every draw takes the same floats and checks as that walk, so
+    the two agree bit for bit (pinned in tests), without a state or an
+    (n+m)-bit index.
+    """
+    n = end_node_count(n)
+    weight = abs(leader_aware_amplitude(n)) ** 2
+    cum = list(accumulate([weight] * n, initial=0.0))
+    outcomes = []
+    won = False
+    for j in range(n):
+        if won:  # only the winner's term is left, and its W bit j is 0
+            p0, p1 = 1.0, 0.0
+        else:
+            alive, rest = cum[n - j], cum[n - j - 1]  # nodes j+1..n, and j+2..n
+            p0, p1 = rest / alive, (alive - rest) / alive
+        outcome = _sample_branch(j, p0, p1, rng)
+        won = won or outcome == 1
+        outcomes.append(outcome)
+    return one_hot_winner(outcomes), tuple(outcomes)
+
+
+def sample_ancillas(winner: int, n: int, rng: RandomSource) -> tuple[int, ...]:
+    """``read_ancillas`` after contention in closed form: ``winner``'s codeword.
+
+    One draw per ancilla (qubits n, n+1, ...), compared with 1.0 for a 0 bit
+    and 0.0 for a 1 bit.
+    """
+    bits = codeword(winner, ancilla_count(n))
+    return tuple(_sample_branch(q, 1.0 - bit, float(bit), rng) for q, bit in enumerate(bits, n))
+
+
 def decode_ancilla(ancilla: Sequence[int], n: int) -> int:
     """Winner identity from the ancilla readout: 1 + sum of a_j * 2^j."""
     winner = 1 + sum(bit << j for j, bit in enumerate(ancilla))
@@ -319,12 +370,13 @@ def delivered_fidelity(
 def run_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
     """Slot prologue: contention plus orchestrator ancilla decode.
 
-    Returns (winner, per-node W outcomes, ancilla readout); raises
-    ``ProtocolError`` if the ancillas name a node other than the winner.
+    Returns (winner, per-node W outcomes, ancilla readout), drawing n + m
+    uniforms as ``contend`` then ``read_ancillas`` on ``prepare_leader_aware(n)``
+    would; raises ``ProtocolError`` if the ancillas name a node other than
+    the winner.
     """
-    layout = LeaderAwareLayout(n)
-    winner, w_outcomes, lam = contend(prepare_leader_aware(n), rng)
-    ancilla, _ = read_ancillas(lam, layout, rng)
+    winner, w_outcomes = sample_contention(n, rng)
+    ancilla = sample_ancillas(winner, n, rng)
     check_ancilla(ancilla, n, winner)
     return winner, w_outcomes, ancilla
 
@@ -340,6 +392,7 @@ def run_slot(
     end-node N_i; only the winner's is consumed. When None, the payloads are
     drawn uniformly from the Bloch sphere using ``rng``.
     """
+    n = end_node_count(n)  # before the payload draws, which take 2n uniforms
     payload_of = _payloads_for(n, payloads, rng)
     winner, w_outcomes, ancilla = run_contention(n, rng)
     outcome = ContentionOutcome(slot_type, winner)

@@ -2,7 +2,8 @@
 
 A session is a seeded sequence of trials; each trial regenerates fresh GHZ
 and leader-aware resources for every slot of a configurable uplink/downlink
-pattern and appends one structured trace record per slot. Trials can run
+pattern (the leader-aware one sampled in closed form, never built) and
+appends one structured trace record per slot. Trials can run
 in parallel while the merged trace stays byte-identical to a serial run.
 The worker processes are capped at the CPU count, forked on the first
 parallel call and kept for the life of the process; being forked then,
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Callable, TypeVar
 
-from .circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
+from .circuits import LeaderAwareLayout, end_node_count, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence, loser_parity
 from .protocol import (
     ContentionOutcome,
@@ -35,13 +36,13 @@ from .protocol import (
     SlotReport,
     SlotType,
     check_ancilla,
-    contend,
     delivered_fidelity,
     local_view,
     message_bits,
     message_shape,
     one_hot_winner,
     run_slot,
+    sample_contention,
     slot_messages,
     teleport_receive,
     teleport_rotate,
@@ -69,7 +70,7 @@ _TRAFFIC_MAX_SEEDS = 512
 
 def _chisquare(counts: list[int]) -> tuple[float, float]:
     """(statistic, p-value) of ``counts`` against the uniform distribution."""
-    from scipy import stats  # about a second to import; only readers of a chi-square pay it
+    from scipy import stats  # 0.47 s to import warm; only readers of a chi-square pay it
 
     stat, p = stats.chisquare(counts)
     return float(stat), float(p)
@@ -83,9 +84,7 @@ class SessionConfig:
     trials: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_int("n", self.n))
-        if self.n < 1:
-            raise ValueError("need at least one end-node")
+        object.__setattr__(self, "n", end_node_count(self.n))
         object.__setattr__(self, "trials", as_int("trials", self.trials))
         if self.trials < 1:
             raise ValueError("need at least one trial")
@@ -268,18 +267,20 @@ class FairnessResult:
         }
 
 
-def _contention_winner(leader_aware: StateVector, trial_seed: tuple[int, int]) -> int:
-    winner, _, _ = contend(leader_aware, RandomSource(trial_seed))
+def _contention_winner(n: int, trial_seed: tuple[int, int]) -> int:
+    winner, _ = sample_contention(n, RandomSource(trial_seed))
     return winner
 
 
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:
     """Repeated contention; chi-square of the winner histogram against uniform.
 
-    The histogram does not depend on ``jobs``. Every trial contends on the
-    same immutable resource state, built once.
+    The histogram does not depend on ``jobs``. Each trial samples the W
+    outcomes in closed form (``sample_contention``), n draws from its own
+    stream and no ancilla readout, as ``contend`` on a fresh
+    ``prepare_leader_aware(n)`` would, without building that state.
     """
-    n = as_int("n", n)
+    n = end_node_count(n)
     if n < 2:
         raise ValueError("fairness needs at least two contending end-nodes")
     trials = as_int("trials", trials)
@@ -287,8 +288,7 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
         raise ValueError("need at least one trial")
     seed = RandomSource.check_seed(seed)
     histogram = {node: 0 for node in range(1, n + 1)}
-    work = partial(_contention_winner, prepare_leader_aware(n))
-    for winner in _per_trial(work, seed, trials, jobs):
+    for winner in _per_trial(partial(_contention_winner, n), seed, trials, jobs):
         histogram[winner] += 1
     return FairnessResult(n, trials, seed, histogram)
 
@@ -404,9 +404,7 @@ def anonymity_experiment(n: int) -> AnonymityReport:
     broadcast), the posterior over the winner must be uniform across the
     other end-nodes. Reports the largest deviation found.
     """
-    n = as_int("n", n)
-    if n < 1:
-        raise ValueError("need at least one end-node")
+    n = end_node_count(n)
     if n > 8:
         raise ValueError("exhaustive anonymity enumeration is limited to n <= 8")
     per_slot: dict[SlotType, SlotAnonymity] = {}

@@ -325,6 +325,16 @@ def _zero_branch(qubit: int, outcome: int, prob: float) -> ValueError:
     return ValueError(f"zero-probability branch: qubit {qubit} -> {outcome} (p = {prob!r})")
 
 
+def _sample_branch(qubit: int, p0: float, p1: float, rng: RandomSource) -> int:
+    """``_sample(p0, rng)``; ``_zero_branch`` if the outcome's branch, of weight
+    ``p0`` or ``p1``, is impossible."""
+    outcome = _sample(p0, rng)
+    prob = p1 if outcome else p0
+    if prob <= _BRANCH_EPS:
+        raise _zero_branch(qubit, outcome, prob)
+    return outcome
+
+
 def _project(state: StateVector, qubit: int, outcome: int, prob: float) -> StateVector:
     """Collapse ``qubit`` onto ``outcome``, a branch of weight ``prob``; errors if impossible."""
     if prob <= _BRANCH_EPS:
@@ -388,10 +398,7 @@ def measure_sequence(
         split = bisect_left(keys, seen | bit, lo, hi)
         alive = cum[hi] - cum[lo]
         p0 = (cum[split] - cum[lo]) / alive
-        outcome = _sample(p0, rng)
-        prob = p0 if outcome == 0 else (cum[hi] - cum[split]) / alive
-        if prob <= _BRANCH_EPS:
-            raise _zero_branch(qubit, outcome, prob)
+        outcome = _sample_branch(qubit, p0, (cum[hi] - cum[split]) / alive, rng)
         if outcome:
             lo, seen = split, seen | bit
         else:

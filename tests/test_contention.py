@@ -1,0 +1,232 @@
+"""Closed-form contention: the sampled election against the state walk it replaces.
+
+``run_contention`` and ``fairness_experiment`` sample the W outcomes and the
+ancilla readout without building the leader-aware state. Here that sampling
+is pinned to ``contend`` then ``read_ancillas`` on ``prepare_leader_aware(n)``:
+same winner, W outcomes and ancilla, the same number of draws, and the same
+next draw, over seeded streams and over stub draws placed on every float
+boundary the walk compares with. The memory guard checks that no sampled slot
+or fairness trial builds the leader-aware state or any state of more than 8
+terms, and the limit on ``n`` is checked to fail before any work starts.
+"""
+
+import contextlib
+import itertools
+import math
+
+import pytest
+
+import entaccess.cli
+from entaccess import circuits, extraction, protocol, session, statevector
+from entaccess.circuits import (
+    MAX_END_NODES,
+    LeaderAwareLayout,
+    ancilla_count,
+    prepare_leader_aware,
+)
+from entaccess.protocol import (
+    SlotType,
+    contend,
+    read_ancillas,
+    run_contention,
+    run_slot,
+    sample_contention,
+)
+from entaccess.session import SessionConfig, fairness_experiment
+from entaccess.statevector import RandomSource, StateVector, apply_cnot
+
+
+class Draws:
+    """A stream of given draws, counted as they are taken."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+        self.count = 0
+
+    def random(self):
+        self.count += 1
+        return next(self._draws)
+
+
+def seeded(seed):
+    return lambda: Draws(iter(RandomSource(seed).random, None))
+
+
+def state_walk(n, rng):
+    """The reference: ``contend`` then ``read_ancillas`` on the built state."""
+    winner, w_outcomes, post = contend(prepare_leader_aware(n), rng)
+    ancilla, _ = read_ancillas(post, LeaderAwareLayout(n), rng)
+    return winner, w_outcomes, ancilla
+
+
+def assert_pinned(n, make_draws):
+    """Both closed-form calls equal the state walk, down to the draws taken and the next one."""
+    rng, ref_rng = make_draws(), make_draws()
+    assert run_contention(n, rng) == state_walk(n, ref_rng)
+    assert rng.count == ref_rng.count == n + ancilla_count(n)
+    assert rng.random() == ref_rng.random()
+
+    rng, ref_rng = make_draws(), make_draws()
+    winner, w_outcomes, _ = contend(prepare_leader_aware(n), ref_rng)
+    assert sample_contention(n, rng) == (winner, w_outcomes)
+    assert rng.count == ref_rng.count == n
+    assert rng.random() == ref_rng.random()
+
+
+def walk_thresholds(n, monkeypatch):
+    """The p0 of each W draw the state walk makes while no node has won, in order."""
+    seen = []
+    real = statevector._sample
+    with monkeypatch.context() as patch:
+        patch.setattr(statevector, "_sample", lambda p0, rng: seen.append(p0) or real(p0, rng))
+        state_walk(n, Draws(itertools.repeat(0.0)))  # a draw of 0 loses until the last node
+    return seen[:n]
+
+
+# Draws on both sides of the p0 values 1.0 (after the winner) and 0.0 and 1.0
+# (the ancillas), 1.0 itself included to exercise ``_sample``'s override.
+TAIL = [math.nextafter(1.0, 0.0), 1.0, 0.0, math.nextafter(0.0, 1.0), 0.5]
+
+
+def boundary_draws(position, draw):
+    """Draws that lose up to ``position``, then ``draw`` there, then the ``TAIL`` cycle."""
+    return lambda: Draws(itertools.chain([0.0] * position, [draw], itertools.cycle(TAIL)))
+
+
+class TestPinnedToTheStateWalk:
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_seeded_streams(self, n):
+        for seed in range(40):
+            assert_pinned(n, seeded((n, seed)))
+
+    @pytest.mark.parametrize("n", [257, 1024, 4099])
+    def test_wide_registers(self, n):
+        for seed in range(4):
+            assert_pinned(n, seeded((n, seed)))
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_draws_on_every_threshold(self, n, monkeypatch):
+        thresholds = walk_thresholds(n, monkeypatch)
+        assert len(thresholds) == n and thresholds[-1] == 0.0
+        for position, p0 in enumerate(thresholds):
+            for draw in (math.nextafter(p0, 0.0), p0, math.nextafter(p0, 1.0)):
+                assert_pinned(n, boundary_draws(position, draw))
+
+    @pytest.mark.parametrize("n", [257, 1024])
+    def test_draws_on_wide_thresholds(self, n, monkeypatch):
+        thresholds = walk_thresholds(n, monkeypatch)
+        for position in (0, 1, n // 3, n // 2, n - 2, n - 1):
+            p0 = thresholds[position]
+            for draw in (math.nextafter(p0, 0.0), p0, math.nextafter(p0, 1.0)):
+                assert_pinned(n, boundary_draws(position, draw))
+
+    def test_a_draw_at_the_threshold_wins(self, monkeypatch):
+        # ``r < p0`` loses, so a draw exactly at node 1's p0 elects node 1
+        p0 = walk_thresholds(4, monkeypatch)[0]
+        assert run_contention(4, boundary_draws(0, p0)())[0] == 1
+        assert run_contention(4, boundary_draws(0, math.nextafter(p0, 0.0))())[0] != 1
+
+
+@contextlib.contextmanager
+def guarded(monkeypatch, max_terms=8):
+    """Fail on any call of ``prepare_leader_aware`` and on any state of more
+    than ``max_terms`` terms, checked or built unchecked, while the block runs."""
+    real_state = statevector._state
+    post_init = StateVector.__post_init__
+
+    def counted_state(num_qubits, support):
+        assert len(support) <= max_terms, f"a state of {len(support)} terms"
+        return real_state(num_qubits, support)
+
+    def counted_post_init(state):
+        post_init(state)
+        assert len(state.support) <= max_terms, f"a state of {len(state.support)} terms"
+
+    def forbidden(n):
+        raise AssertionError(f"prepare_leader_aware({n}) called")
+
+    with monkeypatch.context() as patch:
+        for module in (statevector, circuits, extraction, protocol, session):
+            for name, value in list(vars(module).items()):
+                if value is real_state:
+                    patch.setattr(module, name, counted_state)
+                elif value is circuits.prepare_leader_aware:
+                    patch.setattr(module, name, forbidden)
+        patch.setattr(StateVector, "__post_init__", counted_post_init)
+        yield
+
+
+class TestMemoryGuard:
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    def test_a_slot_builds_no_large_state(self, monkeypatch, slot_type):
+        with guarded(monkeypatch):
+            report = run_slot(64, slot_type, None, RandomSource(5))
+        assert report.teleport_fidelity == pytest.approx(1.0, abs=1e-10)
+
+    def test_fairness_builds_no_state(self, monkeypatch):
+        with guarded(monkeypatch, max_terms=0):
+            result = fairness_experiment(64, 50, seed=5)
+        assert sum(result.histogram.values()) == 50
+
+    def test_the_guard_catches_what_it_forbids(self, monkeypatch):
+        with guarded(monkeypatch), pytest.raises(AssertionError, match=r"\(64\) called"):
+            circuits.prepare_leader_aware(64)
+        with guarded(monkeypatch), pytest.raises(AssertionError, match="64 terms"):
+            state_walk(64, RandomSource(0))  # this module's own binding of the builder
+        with guarded(monkeypatch), pytest.raises(AssertionError, match="16 terms"):
+            StateVector(4, {k: 0.25 for k in range(16)})
+        uniform = StateVector(4, {k: 0.25 for k in range(16)})
+        with guarded(monkeypatch), pytest.raises(AssertionError, match="16 terms"):
+            apply_cnot(uniform, 0, 1)  # built unchecked
+
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    def test_twenty_thousand_nodes(self, slot_type):
+        report = run_slot(20_000, slot_type, None, RandomSource(9))
+        assert report.teleport_fidelity == pytest.approx(1.0, abs=1e-10)
+        assert len(report.w_outcomes) == 20_000 and sum(report.w_outcomes) == 1
+
+
+class TestEndNodeLimit:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda n: run_slot(n, SlotType.UPLINK, None, RandomSource(0)),
+            lambda n: run_contention(n, RandomSource(0)),
+            lambda n: sample_contention(n, RandomSource(0)),
+            lambda n: SessionConfig(n=n, seed=0),
+            lambda n: fairness_experiment(n, 10, 0),
+        ],
+        ids=["run_slot", "run_contention", "sample_contention", "session", "fairness"],
+    )
+    def test_rejects_n_over_the_limit(self, call):
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):
+            call(MAX_END_NODES + 1)
+
+    def test_a_slot_fails_before_drawing(self):
+        rng = Draws(itertools.repeat(0.5))
+        with pytest.raises(ValueError, match="over the limit"):
+            run_slot(MAX_END_NODES + 1, SlotType.DOWNLINK, None, rng)
+        assert rng.count == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["elect"],
+            ["uplink"],
+            ["downlink"],
+            ["session", "--trials", "4", "--jobs", "2"],
+            ["fairness", "--trials", "4", "--jobs", "2"],
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_cli_exits_1_without_a_pool(self, monkeypatch, capsys, command):
+        monkeypatch.setattr(session.os, "cpu_count", lambda: 2)
+        for _, pool in session._pools.values():
+            pool.shutdown()
+        session._pools.clear()
+        argv = [*command, "--n", str(MAX_END_NODES + 1), "--seed", "1"]
+        assert entaccess.cli.main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"over the limit of {MAX_END_NODES}" in err
+        assert not session._pools

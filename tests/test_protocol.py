@@ -103,14 +103,14 @@ class TestContentionChecks:
             check_ancilla((1, 1), 3, 1)
 
     def test_run_contention_rejects_a_readout_naming_another_node(self, monkeypatch):
-        real = protocol.read_ancillas
+        real = protocol.sample_ancillas
 
-        def flipped(state, layout, rng):
+        def flipped(winner, n, rng):
             # with n = 4 the flipped codeword still names a node, just not the winner
-            ancilla, post = real(state, layout, rng)
-            return (1 - ancilla[0], *ancilla[1:]), post
+            ancilla = real(winner, n, rng)
+            return (1 - ancilla[0], *ancilla[1:])
 
-        monkeypatch.setattr(protocol, "read_ancillas", flipped)
+        monkeypatch.setattr(protocol, "sample_ancillas", flipped)
         with pytest.raises(ProtocolError, match="ancilla readout named node"):
             run_contention(4, RandomSource(0))
 

@@ -13,9 +13,11 @@ import pytest
 from scipy import stats as scipy_stats
 
 from dense_states import basis_state
+import entaccess.circuits
 import entaccess.protocol
 import entaccess.session
-from entaccess.protocol import ProtocolError, SlotType
+from entaccess.circuits import prepare_leader_aware
+from entaccess.protocol import ProtocolError, SlotType, contend
 from entaccess.session import (
     SessionConfig,
     anonymity_experiment,
@@ -161,20 +163,21 @@ class TestRunSession:
         assert [r["slot_type"] for r in records[:2]] == ["downlink", "uplink"]
 
     def test_resources_regenerated_every_slot(self, monkeypatch):
+        # the leader-aware resource is sampled in closed form, once per slot
         calls = {"ghz": 0, "leader_aware": 0}
         real_ghz = entaccess.protocol.prepare_ghz
-        real_lam = entaccess.protocol.prepare_leader_aware
+        real_contention = entaccess.protocol.sample_contention
 
         def counting_ghz(q):
             calls["ghz"] += 1
             return real_ghz(q)
 
-        def counting_lam(n):
+        def counting_contention(n, rng):
             calls["leader_aware"] += 1
-            return real_lam(n)
+            return real_contention(n, rng)
 
         monkeypatch.setattr(entaccess.protocol, "prepare_ghz", counting_ghz)
-        monkeypatch.setattr(entaccess.protocol, "prepare_leader_aware", counting_lam)
+        monkeypatch.setattr(entaccess.protocol, "sample_contention", counting_contention)
         config = SessionConfig(n=2, seed=4, trials=3)
         run_session(config)
         assert calls == {"ghz": 6, "leader_aware": 6}
@@ -377,14 +380,18 @@ class TestFairness:
         result = fairness_experiment(3, 500, seed=2)
         assert sum(result.histogram.values()) == 500
 
-    def test_resource_built_once_per_experiment(self, monkeypatch):
+    def test_builds_no_resource_and_matches_contend(self, monkeypatch):
         built = []
-        prepare = entaccess.session.prepare_leader_aware
-        monkeypatch.setattr(
-            entaccess.session, "prepare_leader_aware", lambda n: built.append(n) or prepare(n)
-        )
-        fairness_experiment(5, 40, seed=3)
-        assert built == [5]
+        for module in (entaccess.circuits, entaccess.protocol, entaccess.session):
+            monkeypatch.setattr(module, "prepare_leader_aware", built.append, raising=False)
+        result = fairness_experiment(5, 40, seed=3)
+        monkeypatch.undo()
+        assert built == []
+        expected = {node: 0 for node in range(1, 6)}
+        for t in range(40):
+            winner, _, _ = contend(prepare_leader_aware(5), RandomSource((3, t)))
+            expected[winner] += 1
+        assert result.histogram == expected
 
     def test_histogram_independent_of_job_count(self):
         serial = fairness_experiment(3, 200, seed=6)
