@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .circuits import circuit_text
+from .circuits import circuit_text, end_node_count
 from .protocol import SlotType, run_contention, run_slot
 from .session import (
     DEFAULT_SLOT_PATTERN,
@@ -154,7 +154,7 @@ def _cmd_anonymity(args, fmt: str) -> str:
 
 
 def _cmd_export_circuit(args, fmt) -> str:
-    return circuit_text(args.n)
+    return circuit_text(end_node_count(args.n))
 
 
 def build_parser() -> argparse.ArgumentParser:

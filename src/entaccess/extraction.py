@@ -26,6 +26,7 @@ from .statevector import (
     PAULI_Z,
     RandomSource,
     StateVector,
+    _index_with,
     _sample,
     _state,
     _zero_branch,
@@ -142,7 +143,6 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
         raise ValueError("extract_epr needs a GHZ-shaped state: terms |0...0> and |1...1> only")
     (m00, m01), (m10, m11) = HADAMARD.matrix
     zero, one = support[0], support[top]
-    pinned = 0  # the losers' outcome-1 bits, set in both terms
     outcomes: dict[int, int] = {}
     for qubit in p.losers:
         # H on ``qubit``: each term splits into its bit-0 and bit-1 halves
@@ -155,8 +155,8 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
         root = math.sqrt(prob)
         zero, one = (zero1 / root, one1 / root) if outcome else (zero0 / root, one0 / root)
         outcomes[qubit] = outcome
-        if outcome:
-            pinned |= 1 << (num_qubits - 1 - qubit)
+    # the losers' outcome-1 bits, set in both terms
+    pinned = _index_with(num_qubits, outcomes)
     pair_bits = sum(1 << (num_qubits - 1 - q) for q in p.pair)
     terms = [(pinned, zero), (pinned | pair_bits, one)]
     if next(iter(support)) != 0:

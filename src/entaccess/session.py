@@ -7,7 +7,10 @@ appends one structured trace record per slot. Trials can run
 in parallel while the merged trace stays byte-identical to a serial run.
 The worker processes are capped at the CPU count, forked on the first
 parallel call and kept for the life of the process; being forked then,
-they do not see module functions monkeypatched later.
+they do not see module functions monkeypatched later. Each call hands each
+worker one contiguous block of trials, and a worker sends back builtins
+only (each slot's trace record, bit count and traffic shape), so a call
+pays one executor round trip per worker and pickles no entaccess object.
 
 Chi-squares are derived from the stored winner histograms when they are
 read, and only then is scipy imported: output that reports none (slot
@@ -33,7 +36,6 @@ from .extraction import apply_up, build_p_sequence, loser_parity
 from .protocol import (
     ContentionOutcome,
     ProtocolError,
-    SlotReport,
     SlotType,
     check_ancilla,
     delivered_fidelity,
@@ -158,7 +160,8 @@ def _per_trial(
     Trial ``t`` gets the ``RandomSource`` seed ``(seed, t)``: the streams of
     all trials of all seeds are independent, and the results do not depend
     on ``jobs``. ``jobs`` > 1 spreads the trials over
-    ``min(jobs, os.cpu_count())`` processes. The pool is forked on first use
+    ``min(jobs, os.cpu_count())`` processes as one task each, a contiguous
+    block of ceil(trials / workers) trials. The pool is forked on first use
     and kept for the process: later calls with the same worker count reuse
     it, another count replaces it, and a pool inherited from a parent
     process is never used. Its workers therefore run ``work`` as the module
@@ -173,8 +176,10 @@ def _per_trial(
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or trials == 1:
         return [work(s) for s in trial_seeds]
-    # About eight tasks per worker, so per-task pickling stays small.
-    chunksize = max(1, trials // (workers * 8))
+    # One contiguous block of trials per worker: trials cost about the same,
+    # so a further task would only add an executor round trip, and the bytes
+    # pickled do not depend on the blocks.
+    chunksize = -(-trials // workers)
     pid = os.getpid()
     cached = _pools.get(pid)
     if cached is None or cached[0] != workers:
@@ -188,11 +193,22 @@ def _per_trial(
         raise
 
 
+# One slot as it crosses the pool: its trace record, then the total bits and
+# the shape of its classical traffic. Builtins only, so no entaccess object
+# is pickled.
+SlotRow = tuple[dict, int, tuple]
+
+
 def _run_trial(
     n: int, slots: tuple[SlotType, ...], trial_seed: tuple[int, int]
-) -> list[SlotReport]:
+) -> list[SlotRow]:
     rng = RandomSource(trial_seed)
-    return [run_slot(n, slot_type, None, rng) for slot_type in slots]
+    reports = [run_slot(n, slot_type, None, rng) for slot_type in slots]
+    first = trial_seed[1] * len(slots)  # the session-wide index of this trial's first slot
+    return [
+        (r.to_record(i), message_bits(r.messages), message_shape(r.messages))
+        for i, r in enumerate(reports, first)
+    ]
 
 
 def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, list[dict]]:
@@ -204,22 +220,22 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
     per_trial = _per_trial(
         partial(_run_trial, config.n, config.slots), config.seed, config.trials, jobs
     )
-    reports = [report for trial in per_trial for report in trial]
-    return _aggregate(config, reports), [r.to_record(i) for i, r in enumerate(reports)]
+    rows = [row for trial in per_trial for row in trial]
+    return _aggregate(config, rows), [record for record, _, _ in rows]
 
 
-def _aggregate(config: SessionConfig, reports: list[SlotReport]) -> SessionStats:
+def _aggregate(config: SessionConfig, rows: list[SlotRow]) -> SessionStats:
     slot_types = [st.value for st in dict.fromkeys(config.slots)]
     winner_hist = {st: {node: 0 for node in range(1, config.n + 1)} for st in slot_types}
     bits: dict[str, set[int]] = {st: set() for st in slot_types}
     shapes: dict[str, set[tuple]] = {st: set() for st in slot_types}
     fidelities = []
-    for report in reports:
-        st = report.outcome.slot_type.value
-        winner_hist[st][report.outcome.winner] += 1
-        bits[st].add(message_bits(report.messages))
-        shapes[st].add(message_shape(report.messages))
-        fidelities.append(report.teleport_fidelity)
+    for record, slot_bits, shape in rows:
+        st = record["slot_type"]
+        winner_hist[st][record["winner"]] += 1
+        bits[st].add(slot_bits)
+        shapes[st].add(shape)
+        fidelities.append(record["fidelity"])
 
     classical_bits = {}
     for st in slot_types:

@@ -140,6 +140,20 @@ def _basis_index(i) -> int:
         raise ValueError(f"basis index {i!r} is not an integer") from None
 
 
+def _index_with(num_qubits: int, bits: Mapping[int, int]) -> int:
+    """The basis index with qubit q set wherever ``bits[q]`` is true, every other bit 0.
+
+    Built once from a digit string, qubit q as character q, in O(num_qubits):
+    setting one bit at a time would build a fresh int of up to num_qubits
+    bits per qubit.
+    """
+    digits = bytearray(b"0" * num_qubits)
+    for q, bit in bits.items():
+        if bit:
+            digits[q] = 0x31  # "1"
+    return int(digits, 2)
+
+
 def _state(num_qubits: int, support: dict[int, complex]) -> StateVector:
     """Unchecked construction for internal results that are normalized by design."""
     state = object.__new__(StateVector)
@@ -245,11 +259,11 @@ def embed(
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
     top = num_qubits - 1
-    base = 0
-    for q, bit in pinned.items():
-        if bit and q not in qubits:
-            base |= 1 << (top - q)
     moves = [(local.num_qubits - 1 - j, 1 << (top - q)) for j, q in enumerate(qubits)]
+    base = _index_with(num_qubits, pinned)
+    for _, mask in moves:
+        if base & mask:  # an embedded qubit takes its bit from ``local``, not from a pin
+            base ^= mask
     support = {}
     for i, a in local._support.items():
         index = base

@@ -7,7 +7,8 @@ same winner, W outcomes and ancilla, the same number of draws, and the same
 next draw, over seeded streams and over stub draws placed on every float
 boundary the walk compares with. The memory guard checks that no sampled slot
 or fairness trial builds the leader-aware state or any state of more than 8
-terms, and the limit on ``n`` is checked to fail before any work starts.
+terms, and the limit on ``n`` is checked to fail before any work starts, in
+``export-circuit`` too.
 """
 
 import contextlib
@@ -201,6 +202,15 @@ class TestEndNodeLimit:
     def test_rejects_n_over_the_limit(self, call):
         with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):
             call(MAX_END_NODES + 1)
+
+    def test_export_circuit_exits_1_before_writing(self, capsys, tmp_path):
+        target = tmp_path / "circuit.txt"
+        for out in ([], ["--out", str(target)]):
+            assert entaccess.cli.main(["export-circuit", "--n", str(MAX_END_NODES + 1), *out]) == 1
+            stdout, err = capsys.readouterr()
+            assert stdout == ""
+            assert f"over the limit of {MAX_END_NODES}" in err
+        assert not target.exists()
 
     def test_a_slot_fails_before_drawing(self):
         rng = Draws(itertools.repeat(0.5))

@@ -259,6 +259,20 @@ class TestExtractEprEqualsLoserWalk:
             extract_epr(StateVector(3, terms), build_p_sequence(1, 2), RandomSource(0))
 
 
+@pytest.mark.parametrize("n", [*range(1, 65), 1024, 4099])
+def test_pinned_losers_give_the_bit_by_bit_index(n):
+    """The loser bits set as before, one ``|= 1 << (n - q)`` per outcome-1 loser."""
+    for winner in sorted({1, (n + 1) // 2, n}):
+        p = build_p_sequence(winner, n)
+        result = extract_epr(prepare_ghz(n + 1), p, RandomSource((n, winner)))
+        pinned = 0
+        for q, outcome in result.outcomes.items():
+            if outcome:
+                pinned |= 1 << (n - q)
+        pair_bits = 1 << n | 1 << (n - winner)
+        assert list(result.state.support) == [pinned, pinned | pair_bits]
+
+
 class TestLoserParity:
     @pytest.mark.parametrize("k", range(5))
     def test_is_the_xor_of_the_loser_bits(self, k):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import pickle
 import signal
 import time
 from concurrent.futures.process import BrokenProcessPool
@@ -19,6 +20,7 @@ import entaccess.session
 from entaccess.circuits import prepare_leader_aware
 from entaccess.protocol import ProtocolError, SlotType, contend
 from entaccess.session import (
+    DEFAULT_SLOT_PATTERN,
     SessionConfig,
     anonymity_experiment,
     collect_traffic_shapes,
@@ -292,6 +294,13 @@ def two_cpus(monkeypatch):
 
 
 class TestWorkerPool:
+    @pytest.mark.parametrize("trials, block", [(16, 8), (7, 4)])
+    def test_one_contiguous_block_per_worker(self, two_cpus, trials, block):
+        pids = entaccess.session._per_trial(_worker_pid, 0, trials, 2)
+        first, second = pids[0], pids[-1]
+        assert first != second
+        assert pids == [first] * block + [second] * (trials - block)
+
     def test_successive_calls_reuse_the_workers(self, two_cpus):
         first = entaccess.session._per_trial(_worker_pid, 0, 16, 2)
         second = entaccess.session._per_trial(_worker_pid, 1, 16, 2)
@@ -338,6 +347,46 @@ class TestWorkerPool:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert set(entaccess.session._per_trial(_worker_pid, 0, 4, 64)) == {os.getpid()}
         assert not entaccess.session._pools
+
+
+_BUILTINS = {dict, list, tuple, str, int, float, type(None)}
+
+
+def _types_in(obj):
+    """The exact type of ``obj`` and of everything inside it, through dicts, lists and tuples."""
+    yield type(obj)
+    if isinstance(obj, dict):
+        for key, value in obj.items():
+            yield from _types_in(key)
+            yield from _types_in(value)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            yield from _types_in(item)
+
+
+class TestPoolResults:
+    @pytest.mark.parametrize(
+        "slots",
+        [DEFAULT_SLOT_PATTERN, (SlotType.UPLINK,), (SlotType.DOWNLINK, SlotType.DOWNLINK)],
+        ids=["du", "u", "dd"],
+    )
+    def test_trial_rows_hold_builtins_only(self, slots):
+        rows = entaccess.session._run_trial(4, slots, (3, 5))
+        assert set(_types_in(rows)) <= _BUILTINS
+        assert b"entaccess" not in pickle.dumps(rows)
+        first = 5 * len(slots)  # trial 5's first slot in the session
+        assert [record["slot"] for record, _, _ in rows] == list(range(first, first + len(slots)))
+
+    def test_fairness_trial_is_an_int(self):
+        assert type(entaccess.session._contention_winner(5, (3, 5))) is int
+
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7])
+    def test_pool_matches_serial(self, two_cpus, trials):
+        config = SessionConfig(n=3, seed=11, trials=trials)
+        serial = run_session(config, jobs=1)
+        assert run_session(config, jobs=2) == serial
+        assert [record["slot"] for record in serial[1]] == list(range(2 * trials))
+        assert fairness_experiment(3, trials, 11, jobs=2) == fairness_experiment(3, trials, 11)
 
 
 class TestFairness:

@@ -41,11 +41,24 @@ from entaccess.statevector import (
     measure_sequence,
     product_state,
     tensor_product,
+    _index_with,
     _state,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
 IDENTITY = Gate("I", np.eye(2))
+
+
+def bit_by_bit_index(num_qubits: int, qubits) -> int:
+    """The index as it was built before: one ``|= 1 << (num_qubits - 1 - q)`` per qubit."""
+    index = 0
+    for q in qubits:
+        index |= 1 << (num_qubits - 1 - q)
+    return index
+
+
+# Every register up to 64 qubits, then two wide ones (4099 is prime).
+WIDTHS = [*range(1, 65), 1024, 4099]
 
 
 def bell_plus() -> StateVector:
@@ -524,6 +537,16 @@ class TestEmbed:
                 want = product_state(vectors)
                 assert list(got.support.items()) == list(want.support.items())
 
+    @pytest.mark.parametrize("n", WIDTHS)
+    def test_pins_give_the_bit_by_bit_index(self, n):
+        rng = np.random.default_rng(n)
+        local = StateVector.qubit(0.6, 0.8j)
+        for target in sorted({0, n // 2, n - 1}):
+            pinned = dict(enumerate(rng.integers(2, size=n).tolist()))  # the target's pin too
+            base = bit_by_bit_index(n, [q for q, bit in pinned.items() if bit and q != target])
+            got = embed(local, [target], n, pinned)
+            assert list(got.support) == [base, base | 1 << (n - 1 - target)]
+
     def test_absent_qubits_are_zero_and_embedded_qubits_ignore_pins(self):
         local = basis_state([1, 0])
         got = embed(local, [3, 1], 4, {1: 1, 2: 1, 3: 0})
@@ -545,6 +568,16 @@ class TestEmbed:
     def test_rejects_repeated_qubits(self):
         with pytest.raises(ValueError, match="distinct"):
             embed(bell_plus(), [1, 1], 3, {})
+
+
+@pytest.mark.parametrize("n", WIDTHS)
+def test_index_with_sets_the_bit_by_bit_index(n):
+    rng = np.random.default_rng(n)
+    bits = dict(enumerate(rng.integers(2, size=n).tolist()))
+    assert _index_with(n, bits) == bit_by_bit_index(n, [q for q, bit in bits.items() if bit])
+    assert _index_with(n, {}) == 0
+    assert _index_with(n, dict.fromkeys(range(n), 1)) == (1 << n) - 1
+    assert _index_with(n, {0: 0, n - 1: 1}) == 1  # a 0 bit sets nothing
 
 
 class TestHaarQubit:
