@@ -10,7 +10,7 @@ parallel call and kept for the life of the process; being forked then,
 they do not see module functions monkeypatched later. Each call hands each
 worker one contiguous block of trials, and a worker sends back builtins
 only (each slot's trace record, bit count and traffic shape), so a call
-pays one executor round trip per worker and pickles no entaccess object.
+pays one executor round trip per worker and gets no entaccess object back.
 
 Chi-squares are derived from the stored winner histograms when they are
 read, and only then is scipy imported: output that reports none (slot
@@ -153,15 +153,16 @@ _pools: dict[int, tuple[int, ProcessPoolExecutor]] = {}
 
 
 def _per_trial(
-    work: Callable[[tuple[int, int]], T], seed: int, trials: int, jobs: int
+    work: Callable[[list[tuple[int, int]]], list[T]], seed: int, trials: int, jobs: int
 ) -> list[T]:
-    """``work(trial_seed)`` for every trial, returned in trial order.
+    """``work`` over contiguous blocks of the trial seeds; its lists joined in trial order.
 
     Trial ``t`` gets the ``RandomSource`` seed ``(seed, t)``: the streams of
     all trials of all seeds are independent, and the results do not depend
-    on ``jobs``. ``jobs`` > 1 spreads the trials over
-    ``min(jobs, os.cpu_count())`` processes as one task each, a contiguous
-    block of ceil(trials / workers) trials. The pool is forked on first use
+    on ``jobs``. ``work(trial_seeds)`` runs a block of consecutive trials. One
+    block holds every trial unless ``jobs`` > 1 spreads them over
+    ``min(jobs, os.cpu_count())`` processes, one block of
+    ceil(trials / workers) trials each. The pool is forked on first use
     and kept for the process: later calls with the same worker count reuse
     it, another count replaces it, and a pool inherited from a parent
     process is never used. Its workers therefore run ``work`` as the module
@@ -175,11 +176,12 @@ def _per_trial(
     trial_seeds = [(seed, t) for t in range(trials)]
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or trials == 1:
-        return [work(s) for s in trial_seeds]
-    # One contiguous block of trials per worker: trials cost about the same,
-    # so a further task would only add an executor round trip, and the bytes
-    # pickled do not depend on the blocks.
-    chunksize = -(-trials // workers)
+        return work(trial_seeds)
+    # One task per worker: trials cost about the same, so a further task would
+    # only add an executor round trip, and the bytes pickled do not depend on
+    # the blocks.
+    size = -(-trials // workers)
+    blocks = [trial_seeds[i:i + size] for i in range(0, trials, size)]
     pid = os.getpid()
     cached = _pools.get(pid)
     if cached is None or cached[0] != workers:
@@ -187,7 +189,7 @@ def _per_trial(
             cached[1].shutdown()
         cached = _pools[pid] = (workers, ProcessPoolExecutor(max_workers=workers))
     try:
-        return list(cached[1].map(work, trial_seeds, chunksize=chunksize))
+        return [result for block in cached[1].map(work, blocks) for result in block]
     except BrokenProcessPool:
         del _pools[pid]
         raise
@@ -199,12 +201,18 @@ def _per_trial(
 SlotRow = tuple[dict, int, tuple]
 
 
-def _run_trial(
-    n: int, slots: tuple[SlotType, ...], trial_seed: tuple[int, int]
+def _run_trials(
+    n: int, slots: tuple[SlotType, ...], trial_seeds: list[tuple[int, int]]
 ) -> list[SlotRow]:
-    rng = RandomSource(trial_seed)
-    reports = [run_slot(n, slot_type, None, rng) for slot_type in slots]
-    first = trial_seed[1] * len(slots)  # the session-wide index of this trial's first slot
+    """The row of every slot of a block of consecutive trials, in slot order."""
+    reports = [
+        run_slot(n, slot_type, None, rng)
+        for rng in map(RandomSource, trial_seeds)
+        for slot_type in slots
+    ]
+    # The rows are built after the block's slots, not between them: there
+    # they cost about 2 % more of an n=4 session.
+    first = trial_seeds[0][1] * len(slots)  # the session-wide index of the block's first slot
     return [
         (r.to_record(i), message_bits(r.messages), message_shape(r.messages))
         for i, r in enumerate(reports, first)
@@ -217,10 +225,9 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
     ``jobs`` > 1 distributes trials over processes; the trace is merged in
     trial order, so the output does not depend on the worker count.
     """
-    per_trial = _per_trial(
-        partial(_run_trial, config.n, config.slots), config.seed, config.trials, jobs
+    rows = _per_trial(
+        partial(_run_trials, config.n, config.slots), config.seed, config.trials, jobs
     )
-    rows = [row for trial in per_trial for row in trial]
     return _aggregate(config, rows), [record for record, _, _ in rows]
 
 
@@ -283,9 +290,8 @@ class FairnessResult:
         }
 
 
-def _contention_winner(n: int, trial_seed: tuple[int, int]) -> int:
-    winner, _ = sample_contention(n, RandomSource(trial_seed))
-    return winner
+def _contention_winners(n: int, trial_seeds: list[tuple[int, int]]) -> list[int]:
+    return [sample_contention(n, RandomSource(s))[0] for s in trial_seeds]
 
 
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:
@@ -304,7 +310,7 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
         raise ValueError("need at least one trial")
     seed = RandomSource.check_seed(seed)
     histogram = {node: 0 for node in range(1, n + 1)}
-    for winner in _per_trial(partial(_contention_winner, n), seed, trials, jobs):
+    for winner in _per_trial(partial(_contention_winners, n), seed, trials, jobs):
         histogram[winner] += 1
     return FairnessResult(n, trials, seed, histogram)
 

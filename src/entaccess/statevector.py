@@ -143,12 +143,14 @@ def _basis_index(i) -> int:
 def _index_with(num_qubits: int, bits: Mapping[int, int]) -> int:
     """The basis index with qubit q set wherever ``bits[q]`` is true, every other bit 0.
 
-    Built once from a digit string, qubit q as character q, in O(num_qubits):
-    setting one bit at a time would build a fresh int of up to num_qubits
-    bits per qubit.
+    ValueError for a qubit outside the register. Built once from a digit
+    string, qubit q as character q, in O(num_qubits): setting one bit at a
+    time would build a fresh int of up to num_qubits bits per qubit.
     """
     digits = bytearray(b"0" * num_qubits)
     for q, bit in bits.items():
+        if not 0 <= q < num_qubits:
+            raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
         if bit:
             digits[q] = 0x31  # "1"
     return int(digits, 2)
@@ -255,12 +257,12 @@ def embed(
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubits must be distinct")
     num_qubits = as_int("num_qubits", num_qubits)
-    for q in (*qubits, *pinned):
+    for q in qubits:
         if not 0 <= q < num_qubits:
             raise ValueError(f"qubit {q} out of range for {num_qubits} qubits")
     top = num_qubits - 1
     moves = [(local.num_qubits - 1 - j, 1 << (top - q)) for j, q in enumerate(qubits)]
-    base = _index_with(num_qubits, pinned)
+    base = _index_with(num_qubits, pinned)  # checks the pinned qubits' range
     for _, mask in moves:
         if base & mask:  # an embedded qubit takes its bit from ``local``, not from a pin
             base ^= mask

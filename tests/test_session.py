@@ -261,10 +261,11 @@ def test_fairness_numpy_seed_is_json_ready():
     assert json.dumps(result.to_dict()) == json.dumps(fairness_experiment(3, 8, 1).to_dict())
 
 
-def _worker_pid(trial_seed: int) -> int:
+def _worker_pid(trial_seeds: list) -> list[int]:
+    """The pid of the process running each trial of the block."""
     # Long enough that every worker of a small pool takes a task.
-    time.sleep(0.02)
-    return os.getpid()
+    time.sleep(0.02 * len(trial_seeds))
+    return [os.getpid()] * len(trial_seeds)
 
 
 def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
@@ -371,14 +372,15 @@ class TestPoolResults:
         ids=["du", "u", "dd"],
     )
     def test_trial_rows_hold_builtins_only(self, slots):
-        rows = entaccess.session._run_trial(4, slots, (3, 5))
+        rows = entaccess.session._run_trials(4, slots, [(3, 5), (3, 6)])
         assert set(_types_in(rows)) <= _BUILTINS
         assert b"entaccess" not in pickle.dumps(rows)
         first = 5 * len(slots)  # trial 5's first slot in the session
-        assert [record["slot"] for record, _, _ in rows] == list(range(first, first + len(slots)))
+        assert [record["slot"] for record, _, _ in rows] == list(range(first, first + 2 * len(slots)))
 
-    def test_fairness_trial_is_an_int(self):
-        assert type(entaccess.session._contention_winner(5, (3, 5))) is int
+    def test_fairness_trials_are_ints(self):
+        winners = entaccess.session._contention_winners(5, [(3, 5), (3, 6)])
+        assert [type(w) for w in winners] == [int, int]
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 7])
     def test_pool_matches_serial(self, two_cpus, trials):
@@ -454,8 +456,8 @@ class TestFairness:
 
 
 def test_every_trial_of_every_seed_has_its_own_stream():
-    def first_draw(trial_seed):
-        return RandomSource(trial_seed).random()
+    def first_draw(trial_seeds):
+        return [RandomSource(s).random() for s in trial_seeds]
 
     first_draws = [
         draw for seed in range(4) for draw in entaccess.session._per_trial(first_draw, seed, 64, 1)
