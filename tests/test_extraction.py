@@ -261,7 +261,7 @@ class TestExtractEprEqualsLoserWalk:
 
 @pytest.mark.parametrize("n", [*range(1, 65), 1024, 4099])
 def test_pinned_losers_give_the_bit_by_bit_index(n):
-    """The loser bits set as before, one ``|= 1 << (n - q)`` per outcome-1 loser."""
+    """The reference index: one ``|= 1 << (n - q)`` per outcome-1 loser."""
     for winner in sorted({1, (n + 1) // 2, n}):
         p = build_p_sequence(winner, n)
         result = extract_epr(prepare_ghz(n + 1), p, RandomSource((n, winner)))

@@ -376,7 +376,8 @@ class TestPoolResults:
         assert set(_types_in(rows)) <= _BUILTINS
         assert b"entaccess" not in pickle.dumps(rows)
         first = 5 * len(slots)  # trial 5's first slot in the session
-        assert [record["slot"] for record, _, _ in rows] == list(range(first, first + 2 * len(slots)))
+        indices = [record["slot"] for record, _, _ in rows]
+        assert indices == list(range(first, first + 2 * len(slots)))
 
     def test_fairness_trials_are_ints(self):
         winners = entaccess.session._contention_winners(5, [(3, 5), (3, 6)])

@@ -50,7 +50,7 @@ IDENTITY = Gate("I", np.eye(2))
 
 
 def bit_by_bit_index(num_qubits: int, qubits) -> int:
-    """The index as it was built before: one ``|= 1 << (num_qubits - 1 - q)`` per qubit."""
+    """The reference index: one ``|= 1 << (num_qubits - 1 - q)`` per qubit, O(n) each."""
     index = 0
     for q in qubits:
         index |= 1 << (num_qubits - 1 - q)
