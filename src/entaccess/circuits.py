@@ -6,8 +6,9 @@ index of the (future) winner into the ancilla block, so measuring the W
 qubits elects a unique winner while the ancillas collapse to its codeword.
 That chain is plain data: ``leader_aware_circuit(n)`` gives its CNOTs as
 ``(control, target)`` pairs, and ``circuit_text(n)`` renders them as the
-``QUBITS``/``CX`` text of ``entaccess export-circuit``. The simulator never
-runs the chain; ``prepare_leader_aware`` writes its n-term result directly.
+``QUBITS``/``CX`` text of ``entaccess export-circuit``, which writes
+``circuit_lines(n)`` as they are made. The simulator never runs the chain;
+``prepare_leader_aware`` writes its n-term result directly.
 Its two facts, each term's amplitude (``leader_aware_amplitude``) and the
 winner's ancilla tag (``codeword``), are stated here once, for the state,
 the circuit and the closed-form contention of ``protocol``.
@@ -18,7 +19,9 @@ end-node N_i), ancillas n..n+m-1 (a_j at index n+j, least significant first).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .statevector import StateVector, as_int
@@ -105,27 +108,34 @@ def prepare_ghz(q: int) -> StateVector:
     return StateVector(q, {0: amp, (1 << q) - 1: amp})
 
 
-def leader_aware_circuit(n: int) -> tuple[tuple[int, int], ...]:
+def leader_aware_circuit(n: int) -> Iterator[tuple[int, int]]:
     """CNOT chain copying each end-node's index into the ancilla block.
 
     One ``(control, target)`` pair per CNOT: for end-node N_i, every set bit
     j of i-1 adds one CNOT controlled by N_i's W qubit targeting ancilla a_j.
-    Emission order is ascending i, then ascending j.
+    Emission order is ascending i, then ascending j. ``n`` is checked here;
+    the pairs are made as they are read, so the chain is never held whole.
     """
     layout = LeaderAwareLayout(n)
-    return tuple(
+    ancillas = layout.ancilla_qubits
+    return (
         (w, a)
         for node, w in enumerate(layout.w_qubits, start=1)
-        for bit, a in zip(codeword(node, layout.m), layout.ancilla_qubits)
+        for bit, a in zip(codeword(node, layout.m), ancillas)
         if bit
     )
 
 
+def circuit_lines(n: int) -> Iterator[str]:
+    """``circuit_text(n)`` line by line, each with its newline, made as it is read."""
+    header = f"QUBITS {LeaderAwareLayout(n).num_qubits}\n"
+    cnots = (f"CX {control} {target}\n" for control, target in leader_aware_circuit(n))
+    return itertools.chain([header], cnots)
+
+
 def circuit_text(n: int) -> str:
     """Line-oriented export: ``QUBITS <count>`` header, then ``CX <control> <target>`` per CNOT."""
-    lines = [f"QUBITS {LeaderAwareLayout(n).num_qubits}"]
-    lines += [f"CX {control} {target}" for control, target in leader_aware_circuit(n)]
-    return "\n".join(lines) + "\n"
+    return "".join(circuit_lines(n))
 
 
 def prepare_leader_aware(n: int) -> StateVector:

@@ -4,8 +4,9 @@ Every experiment subcommand requires an explicit --seed so that repeated
 invocations are bitwise reproducible. Numeric output is formatted to 12
 significant digits. Output goes to stdout as JSON by default; --out takes
 either a bare format name (json, jsonl, csv) for stdout or a file path
-whose extension picks the format. Subcommands return their output as text
-and write nothing; ``main`` resolves format and destination and writes it.
+whose extension picks the format. Subcommands return their output as text,
+or export-circuit as lines made as they are read, and write nothing;
+``main`` resolves format and destination and writes it.
 
 Exit status: 0 on success, 2 on usage errors, 1 on internal failures.
 """
@@ -13,10 +14,12 @@ Exit status: 0 on success, 2 on usage errors, 1 on internal failures.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
+from collections.abc import Iterable
 
-from .circuits import circuit_text, end_node_count
+from .circuits import circuit_lines, end_node_count
 from .protocol import SlotType, run_contention, run_slot
 from .session import (
     DEFAULT_SLOT_PATTERN,
@@ -28,6 +31,9 @@ from .session import (
 from .statevector import RandomSource
 
 FORMATS = ("json", "jsonl", "csv")
+
+# Lines joined per write when a command's output comes as lines.
+_CHUNK_LINES = 4096
 
 
 def _nonnegative_int(text: str) -> int:
@@ -153,8 +159,8 @@ def _cmd_anonymity(args, fmt: str) -> str:
     return _dump_json(report.to_dict())
 
 
-def _cmd_export_circuit(args, fmt) -> str:
-    return circuit_text(end_node_count(args.n))
+def _cmd_export_circuit(args, fmt) -> Iterable[str]:
+    return circuit_lines(end_node_count(args.n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,6 +219,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(fh, output: str | Iterable[str]) -> None:
+    """Write a command's text, or its lines ``_CHUNK_LINES`` at a time."""
+    if isinstance(output, str):
+        fh.write(output)
+        return
+    lines = iter(output)
+    while chunk := "".join(itertools.islice(lines, _CHUNK_LINES)):
+        fh.write(chunk)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -226,12 +242,12 @@ def main(argv=None) -> int:
         if fmt not in args.formats:
             parser.error(f"{args.command} does not support {fmt} output")
     try:
-        text = args.func(args, fmt)
+        output = args.func(args, fmt)
         if path is None:
-            sys.stdout.write(text)
+            _write(sys.stdout, output)
         else:
             with open(path, "w", newline="") as fh:
-                fh.write(text)
+                _write(fh, output)
     except Exception as exc:  # internal invariant violations and bad values
         print(f"entaccess: error: {exc}", file=sys.stderr)
         return 1

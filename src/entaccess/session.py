@@ -5,12 +5,17 @@ and leader-aware resources for every slot of a configurable uplink/downlink
 pattern (the leader-aware one sampled in closed form, never built) and
 appends one structured trace record per slot. Trials can run
 in parallel while the merged trace stays byte-identical to a serial run.
-The worker processes are capped at the CPU count, forked on the first
-parallel call and kept for the life of the process; being forked then,
-they do not see module functions monkeypatched later. Each call hands each
-worker one contiguous block of trials, and a worker sends back builtins
-only (each slot's trace record, bit count and traffic shape), so a call
-pays one executor round trip per worker and gets no entaccess object back.
+Each call splits the trials into one contiguous block per process, and the
+caller is one of those processes: it runs the first block itself while
+the other blocks run in forked workers, each joined to it by one plain
+pipe. No thread runs in the caller, so its own block competes with nothing
+for the GIL. A worker sends back builtins only (each slot's trace record,
+bit count and traffic shape), so a call makes one pipe round trip per
+worker and gets no entaccess object back. The processes are capped at the
+CPU count; the workers are forked (the ``fork`` start method, so not on
+Windows) on the first parallel call and kept for the life of the process,
+and being forked then, they do not see module functions monkeypatched
+later.
 
 Chi-squares are derived from the stored winner histograms when they are
 read, and only then is scipy imported: output that reports none (slot
@@ -24,11 +29,13 @@ branch, and winner-identity posteriors for the anonymity checks).
 
 from __future__ import annotations
 
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+import signal
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import partial
+from multiprocessing.connection import Connection
 from typing import Callable, TypeVar
 
 from .circuits import LeaderAwareLayout, end_node_count, prepare_ghz, prepare_leader_aware
@@ -144,12 +151,92 @@ class SessionStats:
         }
 
 
+def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
+    """A pool worker's loop: run each ``(work, block)`` that arrives, send back its rows.
+
+    It closes the parent's ends of every pipe it inherited, so that when the
+    caller dies nothing else holds them open and ``recv`` ends in EOF. It
+    ignores SIGINT: a Ctrl-C reaches the caller, which stops the workers.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in parent_ends:
+        end.close()
+    while True:
+        try:
+            work, block = conn.recv()
+        except EOFError:
+            return
+        try:
+            reply = (True, work(block))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except OSError:  # the caller has gone
+            return
+
+
+class _Pool:
+    """Forked workers, each joined to the caller by one pipe; the caller runs block 0."""
+
+    def __init__(self, workers: int) -> None:
+        context = multiprocessing.get_context("fork")
+        inherited = [end for _, pool in _pools.values() for end in pool.conns]
+        self.conns: list[Connection] = []
+        self.procs: list[multiprocessing.process.BaseProcess] = []
+        try:
+            for _ in range(workers - 1):
+                parent_end, child_end = context.Pipe()
+                self.conns.append(parent_end)
+                proc = context.Process(
+                    target=_serve, args=(child_end, inherited + self.conns), daemon=True
+                )
+                proc.start()
+                child_end.close()
+                self.procs.append(proc)
+        except BaseException:
+            self.shutdown(kill=True)
+            raise
+
+    def map(self, work: Callable[[list], list[T]], blocks: list[list]) -> list[list[T]]:
+        """``work`` over ``blocks``, one per process: the lists in block order.
+
+        Sends blocks 1..k to the workers first, then runs block 0 here, then
+        reads the workers' lists. An exception a worker's block raised is
+        raised here; a worker gone raises ``BrokenProcessPool``.
+        """
+        conns = self.conns[:len(blocks) - 1]
+        try:
+            for conn, block in zip(conns, blocks[1:]):
+                conn.send((work, block))
+        except OSError as exc:
+            raise BrokenProcessPool("a pool worker has gone") from exc
+        results = [work(blocks[0])]
+        for conn in conns:
+            try:
+                ok, value = conn.recv()
+            except (EOFError, OSError) as exc:
+                raise BrokenProcessPool("a pool worker has gone") from exc
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+
+    def shutdown(self, kill: bool = False) -> None:
+        """Close the pipes and join the workers, which then read EOF; ``kill`` stops them first."""
+        for conn in self.conns:
+            conn.close()
+        for proc in self.procs:
+            if kill:
+                proc.terminate()
+            proc.join()
+
+
 # Worker count and pool that _per_trial keeps for the life of each process,
 # keyed by the pid that created it. A forked child finds its parent's pool
-# under another pid and leaves it alone: using it would share the parent's
-# queues, and dropping it would fire the parent pool's wake-up callback (a
-# lock and a pipe copied from the parent) in the child.
-_pools: dict[int, tuple[int, ProcessPoolExecutor]] = {}
+# under another pid and leaves it alone: its pipes lead to the parent's
+# workers, whose replies the parent reads.
+_pools: dict[int, tuple[int, _Pool]] = {}
 
 
 def _per_trial(
@@ -161,14 +248,20 @@ def _per_trial(
     all trials of all seeds are independent, and the results do not depend
     on ``jobs``. ``work(trial_seeds)`` runs a block of consecutive trials. One
     block holds every trial unless ``jobs`` > 1 spreads them over
-    ``min(jobs, os.cpu_count())`` processes, one block of
-    ceil(trials / workers) trials each. The pool is forked on first use
-    and kept for the process: later calls with the same worker count reuse
-    it, another count replaces it, and a pool inherited from a parent
-    process is never used. Its workers therefore run ``work`` as the module
-    stood when they were forked, not under later monkeypatches. If a worker
-    dies, the call raises ``BrokenProcessPool`` and the next call starts a
-    fresh pool.
+    ``workers = min(jobs, os.cpu_count())`` processes, one block of
+    ceil(trials / workers) trials each. The caller is one of them: it sends
+    blocks 1..k down one pipe to each of ``workers - 1`` forked processes,
+    runs block 0 itself and then reads the workers' lists. No thread runs in
+    the caller, so its block does not wait on the GIL.
+
+    The workers are forked on first use and kept for the process: later
+    calls with the same worker count reuse them, another count replaces
+    them, and a pool inherited from a parent process is never used. They
+    therefore run ``work`` as the module stood when they were forked, not
+    under later monkeypatches. Any exception inside a call, a worker's
+    (raised here with its type and message), the caller's own or a
+    ``KeyboardInterrupt``, stops the workers and drops the pool, so no later
+    call reads a stale reply. A worker gone raises ``BrokenProcessPool``.
     """
     jobs = as_int("jobs", jobs)
     if jobs < 1:
@@ -177,8 +270,8 @@ def _per_trial(
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or trials == 1:
         return work(trial_seeds)
-    # One task per worker: trials cost about the same, so a further task would
-    # only add an executor round trip, and the bytes pickled do not depend on
+    # One block per process: trials cost about the same, so a further block
+    # would only add a round trip, and the bytes pickled do not depend on
     # the blocks.
     size = -(-trials // workers)
     blocks = [trial_seeds[i:i + size] for i in range(0, trials, size)]
@@ -186,12 +279,14 @@ def _per_trial(
     cached = _pools.get(pid)
     if cached is None or cached[0] != workers:
         if cached is not None:
+            del _pools[pid]
             cached[1].shutdown()
-        cached = _pools[pid] = (workers, ProcessPoolExecutor(max_workers=workers))
+        cached = _pools[pid] = (workers, _Pool(workers))
     try:
         return [result for block in cached[1].map(work, blocks) for result in block]
-    except BrokenProcessPool:
+    except BaseException:
         del _pools[pid]
+        cached[1].shutdown(kill=True)
         raise
 
 

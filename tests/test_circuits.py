@@ -9,7 +9,9 @@ import pytest
 from dense_states import basis_state
 from entaccess.circuits import (
     LeaderAwareLayout,
+    MAX_END_NODES,
     ancilla_count,
+    circuit_lines,
     circuit_text,
     leader_aware_circuit,
     prepare_ghz,
@@ -137,10 +139,10 @@ class TestPrepareW:
 
 class TestLeaderAwareCircuit:
     def test_four_nodes_gate_sequence(self):
-        assert leader_aware_circuit(4) == ((1, 4), (2, 5), (3, 4), (3, 5))
+        assert tuple(leader_aware_circuit(4)) == ((1, 4), (2, 5), (3, 4), (3, 5))
 
     def test_single_node_is_empty(self):
-        assert leader_aware_circuit(1) == ()
+        assert tuple(leader_aware_circuit(1)) == ()
 
     def test_five_nodes_last_node_hits_high_ancilla(self):
         from_w5 = [(c, t) for c, t in leader_aware_circuit(5) if c == 4]
@@ -199,3 +201,20 @@ class TestGateList:
     def test_text_export(self):
         text = circuit_text(4)
         assert text == "QUBITS 6\nCX 1 4\nCX 2 5\nCX 3 4\nCX 3 5\n"
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 64])
+    def test_lines_are_the_text(self, n):
+        lines = list(circuit_lines(n))
+        assert all(line.endswith("\n") and line.count("\n") == 1 for line in lines)
+        assert "".join(lines) == circuit_text(n)
+        assert len(lines) == 1 + len(list(leader_aware_circuit(n)))
+
+    def test_lines_are_made_as_they_are_read(self):
+        # At the end-node limit the whole text is about 0.1 GB of strings.
+        head = list(itertools.islice(circuit_lines(MAX_END_NODES), 3))
+        assert head == ["QUBITS 1000020\n", "CX 1 1000000\n", "CX 2 1000001\n"]
+
+    @pytest.mark.parametrize("make", [circuit_lines, leader_aware_circuit])
+    def test_n_is_checked_before_the_first_item(self, make):
+        with pytest.raises(ValueError, match="at least one end-node"):
+            make(0)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from entaccess.circuits import circuit_text
 from entaccess.cli import main
 from entaccess.protocol import decode_ancilla
 
@@ -214,6 +215,15 @@ class TestExportCircuit:
         assert out == ""
         text = target.read_text()
         assert text.startswith("QUBITS 8\n")
+
+    def test_gate_list_of_several_writes(self, capsys, monkeypatch):
+        import entaccess.cli
+
+        monkeypatch.setattr(entaccess.cli, "_CHUNK_LINES", 7)
+        code, out, _ = run_cli(capsys, ["export-circuit", "--n", "50"])
+        assert code == 0
+        assert out == circuit_text(50)
+        assert len(out.splitlines()) > 7
 
 
 class TestUsageErrors:

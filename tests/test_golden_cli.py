@@ -15,16 +15,20 @@ regenerated when trial ``t`` of seed ``s`` came to be seeded from the pair
 ``(s, t)`` instead of ``s ^ t``: ``session_n4_du``, ``session_n14``,
 ``session_n5_csv``, ``session_n5_json``, ``fairness_n8`` and
 ``fairness_n6_csv``. No other file moved. Each of the six is also run with
-``--jobs 2`` against the same file, so the process-pool path is pinned to
-the serial output. To regenerate a file, run the invocation with
+``--jobs 2``, and with ``--jobs 3`` on three CPUs (the caller and two
+workers, with unequal blocks where the trial count is not a multiple of
+three), against the same file, so the process-pool path is pinned to the
+serial output. To regenerate a file, run the invocation with
 ``python -m entaccess`` and redirect stdout.
 """
 
+import os
 import re
 from pathlib import Path
 
 import pytest
 
+import entaccess.session
 from entaccess.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -71,4 +75,20 @@ def test_matches_golden_output(capsys, name):
 @pytest.mark.parametrize("name", SEEDED_TRIALS)
 def test_pool_matches_golden_output(capsys, name):
     out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "2"])
+    assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+@pytest.fixture
+def three_cpus(monkeypatch):
+    """Three CPUs, and the three-process pool closed after the test."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    yield
+    for _, pool in entaccess.session._pools.values():
+        pool.shutdown()
+    entaccess.session._pools.clear()
+
+
+@pytest.mark.parametrize("name", SEEDED_TRIALS)
+def test_three_process_pool_matches_golden_output(capsys, three_cpus, name):
+    out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "3"])
     assert out == (GOLDEN / f"{name}.txt").read_text()

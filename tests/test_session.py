@@ -2,11 +2,16 @@
 
 import dataclasses
 import math
+import multiprocessing
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import time
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -263,17 +268,38 @@ def test_fairness_numpy_seed_is_json_ready():
 
 def _worker_pid(trial_seeds: list) -> list[int]:
     """The pid of the process running each trial of the block."""
-    # Long enough that every worker of a small pool takes a task.
-    time.sleep(0.02 * len(trial_seeds))
     return [os.getpid()] * len(trial_seeds)
 
 
+def _raise_in_worker(trial_seeds: list) -> list:
+    """Fails every block but the caller's, which starts at trial 0."""
+    if trial_seeds[0][1]:
+        raise ProtocolError(f"block from trial {trial_seeds[0][1]} failed")
+    return list(trial_seeds)
+
+
+def _raise_in_caller(exc_type: type, trial_seeds: list) -> list:
+    """Fails the caller's block, the one that starts at trial 0."""
+    if not trial_seeds[0][1]:
+        raise exc_type("the caller's block failed")
+    return list(trial_seeds)
+
+
 def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
+    """Wait until ``pid`` has exited and, if it is a child of this process, been reaped.
+
+    A process that outlived its parent is reparented; its exit leaves a
+    zombie that only its new parent can reap, so an exited orphan counts.
+    """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
             os.kill(pid, 0)
-        except ProcessLookupError:
+            with open(f"/proc/{pid}/stat") as fh:
+                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+        except (ProcessLookupError, FileNotFoundError):
+            return
+        if state == "Z" and int(ppid) != os.getpid():
             return
         time.sleep(0.01)
     raise AssertionError(f"process {pid} still exists after {timeout} s")
@@ -294,39 +320,62 @@ def two_cpus(monkeypatch):
     _close_pools()
 
 
+# A process that builds a two-process pool, prints its worker's pid and then
+# exits, or waits to be killed.
+_POOL_OWNER = """
+import os, sys, time
+import entaccess.session
+
+def pid(trial_seeds):
+    return [os.getpid()] * len(trial_seeds)
+
+os.cpu_count = lambda: 2
+pids = set(entaccess.session._per_trial(pid, 0, 4, 2)) - {os.getpid()}
+print(*pids, flush=True)
+if sys.argv[1] == "wait":
+    time.sleep(60)
+"""
+
+
 class TestWorkerPool:
     @pytest.mark.parametrize("trials, block", [(16, 8), (7, 4)])
     def test_one_contiguous_block_per_worker(self, two_cpus, trials, block):
         pids = entaccess.session._per_trial(_worker_pid, 0, trials, 2)
-        first, second = pids[0], pids[-1]
-        assert first != second
-        assert pids == [first] * block + [second] * (trials - block)
+        caller, worker = pids[0], pids[-1]
+        assert caller == os.getpid()
+        assert worker != caller
+        assert pids == [caller] * block + [worker] * (trials - block)
 
-    def test_successive_calls_reuse_the_workers(self, two_cpus):
-        first = entaccess.session._per_trial(_worker_pid, 0, 16, 2)
-        second = entaccess.session._per_trial(_worker_pid, 1, 16, 2)
-        assert len(set(first)) == 2
-        assert set(second) == set(first)
-        assert os.getpid() not in first
+    def test_successive_calls_reuse_the_workers(self, two_cpus, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        first = entaccess.session._per_trial(_worker_pid, 0, 24, 3)
+        second = entaccess.session._per_trial(_worker_pid, 1, 24, 3)
+        assert first[:8] == [os.getpid()] * 8
+        workers = set(first[8:])
+        assert len(workers) == 2 and os.getpid() not in workers
+        assert workers <= {child.pid for child in multiprocessing.active_children()}
+        assert second == first
 
     def test_new_worker_count_replaces_the_pool(self, two_cpus, monkeypatch):
-        old = set(entaccess.session._per_trial(_worker_pid, 0, 16, 2))
+        old = set(entaccess.session._per_trial(_worker_pid, 0, 16, 2)) - {os.getpid()}
         # Held here, so that garbage collection cannot be what stops its workers.
         old_pool = entaccess.session._pools[os.getpid()][1]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        new = set(entaccess.session._per_trial(_worker_pid, 0, 24, 3))
+        new = set(entaccess.session._per_trial(_worker_pid, 0, 24, 3)) - {os.getpid()}
         assert entaccess.session._pools[os.getpid()][1] is not old_pool
+        assert len(old) == 1 and len(new) == 2
         assert not old & new
         for pid in old:
             with pytest.raises(ProcessLookupError):
                 os.kill(pid, 0)
 
     def test_dead_worker_fails_one_call_then_pool_restarts(self, two_cpus):
-        victim = entaccess.session._per_trial(_worker_pid, 0, 16, 2)[0]
+        victim = entaccess.session._per_trial(_worker_pid, 0, 16, 2)[-1]
         os.kill(victim, signal.SIGKILL)
-        _wait_reaped(victim)  # the pool has noticed the death
         with pytest.raises(BrokenProcessPool):
             entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        assert not entaccess.session._pools
+        _wait_reaped(victim)
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
 
     def test_pool_of_another_pid_is_not_used(self, two_cpus, monkeypatch):
@@ -341,13 +390,48 @@ class TestWorkerPool:
 
     def test_workers_capped_at_cpu_count(self, two_cpus):
         pids = set(entaccess.session._per_trial(_worker_pid, 0, 32, 64))
-        assert len(pids) == 2
-        assert entaccess.session._pools[os.getpid()][0] == 2
+        assert len(pids) == 2 and os.getpid() in pids
+        workers, pool = entaccess.session._pools[os.getpid()]
+        assert workers == 2
+        assert len(pool.procs) == 1  # the caller is the other one
 
     def test_unknown_cpu_count_runs_serially(self, two_cpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert set(entaccess.session._per_trial(_worker_pid, 0, 4, 64)) == {os.getpid()}
         assert not entaccess.session._pools
+
+    def test_worker_exception_reaches_the_caller(self, two_cpus):
+        with pytest.raises(ProtocolError, match="^block from trial 8 failed$"):
+            entaccess.session._per_trial(_raise_in_worker, 0, 16, 2)
+        assert not entaccess.session._pools
+        assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
+
+    @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
+    def test_caller_exception_discards_the_pool(self, two_cpus, exc_type):
+        entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        old_pool = entaccess.session._pools[os.getpid()][1]
+        with pytest.raises(exc_type, match="the caller's block failed"):
+            entaccess.session._per_trial(partial(_raise_in_caller, exc_type), 0, 16, 2)
+        assert not entaccess.session._pools
+        for proc in old_pool.procs:
+            _wait_reaped(proc.pid)
+        # A kept pool would hand this call the failed call's reply.
+        work = partial(entaccess.session._run_trials, 3, DEFAULT_SLOT_PATTERN)
+        assert entaccess.session._per_trial(work, 5, 16, 2) == work([(5, t) for t in range(16)])
+
+    @pytest.mark.parametrize("end", ["exit", "wait"])
+    def test_no_worker_outlives_its_caller(self, end):
+        env = dict(os.environ)
+        src = str(Path(entaccess.session.__file__).parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        with subprocess.Popen(
+            [sys.executable, "-c", _POOL_OWNER, end], stdout=subprocess.PIPE, text=True, env=env
+        ) as owner:
+            (worker,) = map(int, owner.stdout.readline().split())
+            if end == "wait":
+                owner.kill()
+            assert owner.wait(timeout=30) == (0 if end == "exit" else -signal.SIGKILL)
+        _wait_reaped(worker)
 
 
 _BUILTINS = {dict, list, tuple, str, int, float, type(None)}
