@@ -285,21 +285,26 @@ def _raise_in_caller(exc_type: type, trial_seeds: list) -> list:
     return list(trial_seeds)
 
 
-def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
-    """Wait until ``pid`` has exited and, if it is a child of this process, been reaped.
+def _exited_orphan(pid: int) -> bool:
+    """Whether ``pid`` is a zombie of another parent: a process that outlived
+    its parent was reparented, and only its new parent can reap it."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except FileNotFoundError:  # no procfs, or the process has just been reaped
+        return False
+    return state == "Z" and int(ppid) != os.getpid()
 
-    A process that outlived its parent is reparented; its exit leaves a
-    zombie that only its new parent can reap, so an exited orphan counts.
-    """
+
+def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
+    """Wait until ``pid`` has exited and, if it is a child of this process, been reaped."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
             os.kill(pid, 0)
-            with open(f"/proc/{pid}/stat") as fh:
-                state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
-        except (ProcessLookupError, FileNotFoundError):
+        except ProcessLookupError:
             return
-        if state == "Z" and int(ppid) != os.getpid():
+        if _exited_orphan(pid):
             return
         time.sleep(0.01)
     raise AssertionError(f"process {pid} still exists after {timeout} s")
