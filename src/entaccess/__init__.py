@@ -36,7 +36,6 @@ from .protocol import (
     decode_ancilla,
     delivered_fidelity,
     local_view,
-    message_bits,
     message_shape,
     read_ancillas,
     run_contention,

@@ -126,11 +126,11 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
     ``ghz`` must be GHZ-shaped, two terms on |0...0> and |1...1> (any
     amplitudes), else ValueError. After each loser's H the state has two
     terms, every unmeasured qubit 0 (``zero``) or every one 1 (``one``), so
-    only their amplitudes are carried, through the float steps of
-    ``measure(state, loser, Basis.HADAMARD, rng)`` with one draw per loser in
-    ascending order. Outcomes, parity and post-state equal that per-loser
-    walk bit for bit (pinned in tests); ``apply_up`` followed by
-    computational measurements gives the same statistics.
+    only their amplitudes are carried, through the float steps of H and then
+    ``measure(state, loser, rng)``, one draw per loser in ascending order.
+    Outcomes, parity and post-state equal that per-loser walk bit for bit
+    (pinned in tests); ``apply_up`` followed by computational measurements
+    gives the same statistics.
     """
     if ghz.num_qubits != len(p):
         raise ValueError(

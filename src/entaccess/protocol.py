@@ -43,7 +43,6 @@ from .circuits import (
 )
 from .extraction import build_p_sequence, extract_epr
 from .statevector import (
-    Basis,
     HADAMARD,
     PAULI_X,
     PAULI_Z,
@@ -105,7 +104,6 @@ class EndNodeReport:
     g: int
     q: int
 
-    BIT_COUNT = 2
     KIND = "report"
 
 
@@ -117,7 +115,6 @@ class OrchestratorBroadcast:
     g0: int
     parity: int
 
-    BIT_COUNT = 3
     KIND = "broadcast"
 
 
@@ -164,18 +161,14 @@ class SlotReport:
         }
 
 
-def message_bits(messages: Sequence[ClassicalMessage]) -> int:
-    """Total classical bits on the wire."""
-    return sum(m.payload.BIT_COUNT for m in messages)
-
-
 def message_shape(messages: Sequence[ClassicalMessage]) -> tuple:
-    """Observable traffic shape: (sender, recipient, size) per message, in order.
+    """Observable traffic shape: (sender, recipient, size in bits) per message, in order.
 
-    Must be a function of n and slot type only, never of the winner.
+    Each payload field is one bit. The shape must be a function of n and
+    slot type only, never of the winner; its sizes sum to the bits on the wire.
     """
     return tuple(
-        (m.sender, "broadcast" if m.recipient is None else m.recipient, m.payload.BIT_COUNT)
+        (m.sender, "broadcast" if m.recipient is None else m.recipient, len(vars(m.payload)))
         for m in messages
     )
 
@@ -310,8 +303,8 @@ def teleport_send(
     ``teleport_rotate``, then measure both. Returns (q_star, g_star, post-state).
     """
     state = teleport_rotate(state, payload_qubit, epr_qubit)
-    q_star, state = measure(state, payload_qubit, Basis.COMPUTATIONAL, rng)
-    g_star, state = measure(state, epr_qubit, Basis.COMPUTATIONAL, rng)
+    q_star, state = measure(state, payload_qubit, rng)
+    g_star, state = measure(state, epr_qubit, rng)
     return q_star, g_star, state
 
 

@@ -9,9 +9,9 @@ Each call splits the trials into one contiguous block per process, and the
 caller is one of those processes: it runs the first block itself while
 the other blocks run in forked workers, each joined to it by one plain
 pipe. No thread runs in the caller, so its own block competes with nothing
-for the GIL. A worker sends back builtins only (each slot's trace record,
-bit count and traffic shape), so a call makes one pipe round trip per
-worker and gets no entaccess object back. The processes are capped at the
+for the GIL. A worker sends back builtins only (each slot's trace record
+and traffic shape), so a call makes one pipe round trip per worker and
+gets no entaccess object back. The processes are capped at the
 CPU count; the workers are forked (the ``fork`` start method, so not on
 Windows) on the first parallel call and kept for the life of the process,
 and being forked then, they do not see module functions monkeypatched
@@ -47,7 +47,6 @@ from .protocol import (
     check_ancilla,
     delivered_fidelity,
     local_view,
-    message_bits,
     message_shape,
     one_hot_winner,
     run_slot,
@@ -290,10 +289,9 @@ def _per_trial(
         raise
 
 
-# One slot as it crosses the pool: its trace record, then the total bits and
-# the shape of its classical traffic. Builtins only, so no entaccess object
-# is pickled.
-SlotRow = tuple[dict, int, tuple]
+# One slot as it crosses the pool: its trace record, then the shape of its
+# classical traffic. Builtins only, so no entaccess object is pickled.
+SlotRow = tuple[dict, tuple]
 
 
 def _run_trials(
@@ -309,8 +307,7 @@ def _run_trials(
     # they cost about 2 % more of an n=4 session.
     first = trial_seeds[0][1] * len(slots)  # the session-wide index of the block's first slot
     return [
-        (r.to_record(i), message_bits(r.messages), message_shape(r.messages))
-        for i, r in enumerate(reports, first)
+        (r.to_record(i), message_shape(r.messages)) for i, r in enumerate(reports, first)
     ]
 
 
@@ -323,7 +320,7 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
     rows = _per_trial(
         partial(_run_trials, config.n, config.slots), config.seed, config.trials, jobs
     )
-    return _aggregate(config, rows), [record for record, _, _ in rows]
+    return _aggregate(config, rows), [record for record, _ in rows]
 
 
 def _aggregate(config: SessionConfig, rows: list[SlotRow]) -> SessionStats:
@@ -332,10 +329,10 @@ def _aggregate(config: SessionConfig, rows: list[SlotRow]) -> SessionStats:
     bits: dict[str, set[int]] = {st: set() for st in slot_types}
     shapes: dict[str, set[tuple]] = {st: set() for st in slot_types}
     fidelities = []
-    for record, slot_bits, shape in rows:
+    for record, shape in rows:
         st = record["slot_type"]
         winner_hist[st][record["winner"]] += 1
-        bits[st].add(slot_bits)
+        bits[st].add(sum(size for _, _, size in shape))
         shapes[st].add(shape)
         fidelities.append(record["fidelity"])
 

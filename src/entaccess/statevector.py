@@ -30,6 +30,7 @@ Conventions:
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 import operator
@@ -50,24 +51,36 @@ _DRAW_BLOCK = 64      # uniforms ``RandomSource`` draws from numpy per call
 
 
 class Basis(Enum):
+    """Measurement bases: only the computational one; rotate a qubit to measure in another."""
+
     COMPUTATIONAL = "computational"
-    HADAMARD = "hadamard"
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """A single-qubit gate: a name plus its 2x2 unitary, checked once, as rows of ``complex``."""
+    """A single-qubit gate: a name plus its 2x2 unitary, checked once, as rows of ``complex``.
+
+    Unitary means every entry of M^dagger M - I is within ``UNITARY_TOL`` of 0.
+    """
 
     name: str
     matrix: tuple[tuple[complex, complex], tuple[complex, complex]]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"gate matrix must be 2x2, got {m.shape}")
-        if not np.allclose(m.conj().T @ m, np.eye(2), atol=UNITARY_TOL):
+        try:
+            rows = tuple(tuple(map(complex, row)) for row in self.matrix)
+        except TypeError:  # a row that is a number, not a sequence
+            rows = ()
+        if len(rows) != 2 or any(len(row) != 2 for row in rows):
+            raise ValueError(f"gate matrix must be 2x2, got {self.matrix!r}")
+        cols = tuple(zip(*rows))
+        if not all(
+            abs(sum(x.conjugate() * y for x, y in zip(a, b)) - (j == k)) <= UNITARY_TOL
+            for j, a in enumerate(cols)
+            for k, b in enumerate(cols)
+        ):
             raise ValueError(f"gate {self.name!r} is not unitary")
-        object.__setattr__(self, "matrix", tuple(map(tuple, m.tolist())))
+        object.__setattr__(self, "matrix", rows)
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -232,7 +245,7 @@ def product_state(qubit_states: Sequence[Sequence[complex]]) -> StateVector:
     """Product state from per-qubit (alpha, beta) pairs, qubit 0 first."""
     support = {0: 1.0}
     for pair in qubit_states:
-        alpha, beta = np.asarray(pair, dtype=complex).reshape(2).tolist()
+        alpha, beta = map(complex, pair)
         grown = {}
         for i, amp in support.items():
             if alpha:
@@ -352,9 +365,7 @@ def _sample_branch(qubit: int, p0: float, p1: float, rng: RandomSource) -> int:
 
 
 def _project(state: StateVector, qubit: int, outcome: int, prob: float) -> StateVector:
-    """Collapse ``qubit`` onto ``outcome``, a branch of weight ``prob``; errors if impossible."""
-    if prob <= _BRANCH_EPS:
-        raise _zero_branch(qubit, outcome, prob)
+    """Collapse ``qubit`` onto ``outcome``, a possible branch of weight ``prob``."""
     bit = state._mask(qubit)
     want = bit if outcome else 0
     root = math.sqrt(prob)
@@ -362,19 +373,16 @@ def _project(state: StateVector, qubit: int, outcome: int, prob: float) -> State
     return _state(state.num_qubits, support)
 
 
-def measure(
-    state: StateVector, qubit: int, basis: Basis, rng: RandomSource
-) -> tuple[int, StateVector]:
-    """Projective measurement of one qubit: (outcome bit, post-state).
+def measure(state: StateVector, qubit: int, rng: RandomSource) -> tuple[int, StateVector]:
+    """Computational-basis measurement of one qubit: (outcome bit, post-state).
 
-    The measured qubit stays in the register. Hadamard-basis measurement
-    applies H to the qubit and then measures computationally; the returned
-    post-state carries that H.
+    One draw, sampled by ``_sample_branch`` as every sampled measurement is.
+    The measured qubit stays in the register. For another basis, rotate the
+    qubit first: ``apply_single(state, qubit, HADAMARD)`` and then
+    ``measure`` is a Hadamard-basis measurement.
     """
-    if basis is Basis.HADAMARD:
-        state = apply_single(state, qubit, HADAMARD)
     p0, p1 = _branch_weights(state, qubit)
-    outcome = _sample(p0, rng)
+    outcome = _sample_branch(qubit, p0, p1, rng)
     return outcome, _project(state, qubit, outcome, p1 if outcome else p0)
 
 
@@ -428,8 +436,9 @@ def measure_sequence(
 def enumerate_branches(
     state: StateVector, qubits: Sequence[int], bases: Sequence[Basis]
 ) -> list[tuple[tuple[int, ...], float, StateVector]]:
-    """All joint measurement branches over ``qubits``, zero-probability ones omitted.
+    """All joint computational-basis branches over ``qubits``, zero-probability ones omitted.
 
+    ``bases`` names each qubit's basis, so it is as long as ``qubits``.
     Returns (outcome bit-vector, probability, post-state) triples; the
     probabilities of the returned branches sum to 1.
     """
@@ -438,14 +447,13 @@ def enumerate_branches(
     if len(bases) != len(qubits):
         raise ValueError("one basis per measured qubit required")
     branches: list[tuple[tuple[int, ...], float, StateVector]] = [((), 1.0, state)]
-    for qubit, basis in zip(qubits, bases):
+    for qubit in qubits:
         expanded = []
         for outcomes, prob, st in branches:
-            work = apply_single(st, qubit, HADAMARD) if basis is Basis.HADAMARD else st
-            for outcome, p in enumerate(_branch_weights(work, qubit)):
+            for outcome, p in enumerate(_branch_weights(st, qubit)):
                 if p <= _BRANCH_EPS:
                     continue
-                post = _project(work, qubit, outcome, p)
+                post = _project(st, qubit, outcome, p)
                 expanded.append((outcomes + (outcome,), prob * p, post))
         branches = expanded
     return branches
@@ -472,4 +480,4 @@ def bloch_qubit(u: float, v: float) -> StateVector:
     cos_theta = 2.0 * u - 1.0
     phi = 2.0 * math.pi * v
     half = 0.5 * math.acos(cos_theta)
-    return StateVector.qubit(math.cos(half), np.exp(1j * phi) * math.sin(half))
+    return StateVector.qubit(math.cos(half), cmath.exp(1j * phi) * math.sin(half))

@@ -98,6 +98,13 @@ class TestSession:
         types = [json.loads(ln)["slot_type"] for ln in out.strip().splitlines()]
         assert types == ["uplink", "uplink", "downlink"]
 
+    @pytest.mark.parametrize("slots", ["downlink,uplink", "d, u", "down,up"])
+    def test_comma_slot_pattern_matches_golden(self, capsys, slots):
+        argv = ["session", "--n", "4", "--seed", "7", "--trials", "50", "--slots", slots]
+        code, out, _ = run_cli(capsys, [*argv, "--format", "jsonl"])
+        assert code == 0
+        assert out == (Path(__file__).parent / "golden" / "session_n4_du.txt").read_text()
+
     def test_jobs_do_not_change_output(self, capsys):
         argv = ["session", "--n", "3", "--trials", "6", "--seed", "4", "--format", "jsonl"]
         _, serial, _ = run_cli(capsys, argv)
@@ -251,6 +258,17 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["session", "--n", "2", "--seed", "1", "--out", "csv", "--format", "json"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "slots, message",
+        [("", "slot pattern must not be empty"), ("up,sideways", "unknown slot type 'sideways'")],
+        ids=["empty", "unknown"],
+    )
+    def test_bad_slot_pattern(self, capsys, slots, message):
+        with pytest.raises(SystemExit) as err:
+            main(["session", "--n", "4", "--seed", "7", "--slots", slots])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit) as err:

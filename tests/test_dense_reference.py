@@ -82,14 +82,16 @@ class TestPrimitivesOnFullSupport:
                     ref.cnot(state.amplitudes, n, control, target),
                 )
 
-    @pytest.mark.parametrize("basis", list(Basis))
-    def test_projection(self, basis):
+    @pytest.mark.parametrize("hadamard", [False, True], ids=["computational", "hadamard"])
+    def test_projection(self, hadamard):
+        # the Hadamard basis as H on both backends, then the computational projection
         for n, _, state in full_support_states():
             for qubit in range(n):
-                rotated = state.amplitudes
-                if basis is Basis.HADAMARD:
+                measured, rotated = state, state.amplitudes
+                if hadamard:
+                    measured = apply_single(state, qubit, HADAMARD)
                     rotated = ref.single(rotated, n, qubit, ref.H)
-                branches = enumerate_branches(state, [qubit], [basis])
+                branches = enumerate_branches(measured, [qubit], [Basis.COMPUTATIONAL])
                 assert [out for out, _, _ in branches] == [(0,), (1,)]
                 for (outcome,), prob, post in branches:
                     want_prob, want_post = ref.project(rotated, n, qubit, outcome)

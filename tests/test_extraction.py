@@ -25,9 +25,11 @@ from entaccess.extraction import (
 from entaccess import extraction, statevector
 from entaccess.circuits import prepare_ghz
 from entaccess.statevector import (
+    HADAMARD,
     Basis,
     RandomSource,
     StateVector,
+    apply_single,
     enumerate_branches,
     fidelity,
     measure,
@@ -35,14 +37,16 @@ from entaccess.statevector import (
 
 
 def loser_walk(ghz, p, rng):
-    """Reference extraction: one Hadamard-basis ``measure`` per loser, in order.
+    """Reference extraction: one Hadamard-basis measurement per loser, in order,
+    as H on its qubit and then ``measure``.
 
     ``measure`` is looked up on its module at call time, so a test can spy on it.
     """
     state = ghz
     outcomes = {}
     for qubit in p.losers:
-        outcomes[qubit], state = statevector.measure(state, qubit, Basis.HADAMARD, rng)
+        state = apply_single(state, qubit, HADAMARD)
+        outcomes[qubit], state = statevector.measure(state, qubit, rng)
     return outcomes, state
 
 
@@ -105,6 +109,11 @@ class TestPSequence:
 
     def test_for_pair(self):
         assert PSequence.for_pair(2, 0, 3).bits == (1, 0, 1, 0)
+
+    @pytest.mark.parametrize("a, b", [(0, 4), (-1, 2)])
+    def test_for_pair_rejects_nodes_out_of_range(self, a, b):
+        with pytest.raises(ValueError, match=r"out of range 0\.\.3"):
+            PSequence.for_pair(a, b, 3)
 
     def test_for_pair_rejects_duplicates(self):
         with pytest.raises(ValueError, match="differ"):
@@ -188,7 +197,7 @@ class TestExtractEpr:
             state = apply_up(prepare_ghz(5), p)
             outcomes = {}
             for qubit in p.losers:
-                outcomes[qubit], state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
+                outcomes[qubit], state = measure(state, qubit, rng)
             assert result.outcomes == outcomes
             np.testing.assert_allclose(result.state.amplitudes, state.amplitudes, atol=1e-12)
 
@@ -198,9 +207,9 @@ class TestExtractEpr:
         # Hadamard-basis measurement per loser, on its own qubit.
         measured, gates = [], []
 
-        def measure_spy(state, qubit, basis, rng):
-            measured.append((qubit, basis))
-            return measure(state, qubit, basis, rng)
+        def measure_spy(state, qubit, rng):
+            measured.append(qubit)
+            return measure(state, qubit, rng)
 
         def gate_spy(fn):
             def spy(state, *args):
@@ -216,7 +225,7 @@ class TestExtractEpr:
         monkeypatch.setattr(statevector, "measure", measure_spy)
         p = PSequence((1, 0, 0, 0, 1))
         result = assert_equals_walk(prepare_ghz(5), p, lambda: RandomSource(3))
-        assert measured == [(q, Basis.HADAMARD) for q in p.losers]
+        assert measured == list(p.losers)
         assert gates == []
         assert sorted(result.outcomes) == list(p.losers)
 

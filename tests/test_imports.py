@@ -1,7 +1,8 @@
 """Unused-name checks: every name an import binds in a package module is read
 there, and so is every private module-level name the module defines. Every
 public function, class and method of the package is read by something
-outside the tests, so no test-only helper lives in ``src``.
+outside the tests, so no test-only helper lives in ``src``. So is every
+member of the package's enums.
 
 No linter is a dependency, so this parses each module of ``src/entaccess``
 (the package's re-exporting ``__init__.py`` aside) with ``ast``.
@@ -96,6 +97,74 @@ def unread_public_names(definitions: str, readers: list[str]) -> list[str]:
     ]
 
 
+def _enum_name(node: ast.AST) -> str | None:
+    """``E`` for a reference ``E`` or ``module.E``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def enum_members(source: str) -> list[str]:
+    """``Enum.MEMBER`` for each member of each module-level ``Enum`` subclass."""
+    members = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and any(_enum_name(b) == "Enum" for b in node.bases):
+            members.extend(
+                f"{node.name}.{target.id}"
+                for item in node.body if isinstance(item, ast.Assign)
+                for target in item.targets
+                if isinstance(target, ast.Name) and not target.id.startswith("_")
+            )
+    return members
+
+
+def read_enum_members(source: str) -> tuple[set[str], set[str]]:
+    """(``E.MEMBER`` read qualified, enums ``E`` read whole) in ``source``.
+
+    A qualified access that is only an operand of a comparison reads no
+    member: it tests for a value that something else has to produce. An
+    enum is read whole when it is iterated (a ``for`` or comprehension over
+    it, or an argument of ``list``, ``tuple``, ``set``, ``sorted``) or looked
+    up by value or name (``E(value)``, ``E[name]``).
+    """
+    tree = ast.parse(source)
+    compared = {
+        id(operand)
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+    }
+    qualified, whole = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and id(node) not in compared:
+            enum = _enum_name(node.value)
+            if enum is not None:
+                qualified.add(f"{enum}.{node.attr}")
+        elif isinstance(node, (ast.For, ast.comprehension)):
+            whole.add(_enum_name(node.iter))
+        elif isinstance(node, ast.Call):
+            whole.add(_enum_name(node.func))
+            if _enum_name(node.func) in {"list", "tuple", "set", "sorted"}:
+                whole.update(map(_enum_name, node.args))
+        elif isinstance(node, ast.Subscript):
+            whole.add(_enum_name(node.value))
+    return qualified, whole - {None}
+
+
+def unread_enum_members(definitions: str, readers: list[str]) -> list[str]:
+    """Enum members in ``definitions`` that no reader source reads."""
+    qualified, whole = set(), set()
+    for source in readers:
+        q, w = read_enum_members(source)
+        qualified |= q
+        whole |= w
+    return [
+        member for member in enum_members(definitions)
+        if member not in qualified and member.partition(".")[0] not in whole
+    ]
+
+
 def loaded_names(tree: ast.AST) -> set[str]:
     return {
         node.id
@@ -153,3 +222,27 @@ def test_detects_test_only_public_names():
     )
     readers = ["used()\nk = K()\nk.called()\n", "getattr(K, 'looked_up')\n"]
     assert unread_public_names(definitions, readers) == ["unused", "K.never", "K.view", "Unused"]
+
+
+def test_no_test_only_enum_members():
+    readers = [path.read_text() for path in READERS]
+    unread = {path.name: unread_enum_members(path.read_text(), readers) for path in MODULES}
+    assert {name: members for name, members in unread.items() if members} == {}
+
+
+def test_detects_test_only_enum_members():
+    definitions = (
+        "class Color(Enum):\n    RED = 1\n    GREEN = 2\n    BLUE = 3\n    _HIDDEN = 4\n"
+        "class Shape(enum.Enum):\n    ROUND = 1\n    SQUARE = 2\n"
+        "class Size(Enum):\n    BIG = 1\n"
+        "class Kind(Enum):\n    A = 1\n"
+        "class Plain:\n    FLAT = 1\n"
+    )
+    readers = [
+        # RED is produced; GREEN is only compared against; BLUE is a bare name
+        "paint(mod.Color.RED)\nif c is Color.GREEN or Color.GREEN == c: pass\nBLUE = 3\n",
+        "for s in Shape: pass\n",
+        "Size('big')\n",
+        "kinds = sorted(Kind)\n",
+    ]
+    assert unread_enum_members(definitions, readers) == ["Color.GREEN", "Color.BLUE"]

@@ -22,7 +22,6 @@ from entaccess.protocol import (
     contend,
     decode_ancilla,
     local_view,
-    message_bits,
     message_shape,
     one_hot_winner,
     run_contention,
@@ -47,6 +46,11 @@ from entaccess.statevector import (
     product_state,
     tensor_product,
 )
+
+
+def message_bits(messages):
+    """Total classical bits on the wire: the sizes of ``message_shape`` summed."""
+    return sum(size for _, _, size in message_shape(messages))
 
 
 class TestContend:
@@ -320,6 +324,11 @@ class TestUplinkSlot:
     def test_payload_count_checked(self):
         with pytest.raises(ValueError, match="one payload per end-node"):
             run_uplink_slot(3, [StateVector.qubit(1.0, 0.0)], RandomSource(0))
+
+    def test_payload_width_checked(self):
+        payloads = [StateVector.qubit(1.0, 0.0), BELL_PHI_PLUS]
+        with pytest.raises(ValueError, match="single-qubit"):
+            run_slot(2, SlotType.UPLINK, payloads, RandomSource(0))
 
 
 class TestDownlinkSlot:

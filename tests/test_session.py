@@ -465,7 +465,7 @@ class TestPoolResults:
         assert set(_types_in(rows)) <= _BUILTINS
         assert b"entaccess" not in pickle.dumps(rows)
         first = 5 * len(slots)  # trial 5's first slot in the session
-        indices = [record["slot"] for record, _, _ in rows]
+        indices = [record["slot"] for record, _ in rows]
         assert indices == list(range(first, first + 2 * len(slots)))
 
     def test_fairness_trials_are_ints(self):

@@ -124,6 +124,11 @@ class TestStateVector:
         with pytest.raises(ValueError, match="num_qubits must be an integer"):
             StateVector(n, {0: 1.0})
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_empty_register(self, n):
+        with pytest.raises(ValueError, match="at least one qubit"):
+            StateVector(n, {})
+
     def test_amplitude_count_is_power_of_two(self):
         s = random_state(5, seed=0)
         assert len(s.amplitudes) == 2**5
@@ -193,7 +198,7 @@ class TestValidationHook:
         [
             lambda s: apply_single(s, 0, HADAMARD),
             lambda s: apply_cnot(s, 0, 4),
-            lambda s: measure(s, 1, Basis.COMPUTATIONAL, RandomSource(0)),
+            lambda s: measure(s, 1, RandomSource(0)),
             lambda s: measure_sequence(s, [0, 1, 2, 3], RandomSource(0)),
             lambda s: tensor_product(s, s),
             lambda s: embed(s, [6, 5, 4, 3, 2, 1], 7, {0: 1}),
@@ -228,6 +233,32 @@ class TestGates:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="not unitary"):
             Gate("bad", np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize(
+        "matrix, message",
+        [
+            (((1.000004, 0), (0, 1)), "not unitary"),
+            (((1 + 1e-10, 0), (0, 1)), "not unitary"),
+            (((1, 1e-10), (0, 1)), "not unitary"),
+            (np.eye(3), "2x2"),
+            ((1, 0, 0, 1), "2x2"),
+        ],
+        ids=["diagonal-4e-6", "diagonal-1e-10", "off-diagonal-1e-10", "3x3", "flat"],
+    )
+    def test_unitarity_tolerance_is_absolute(self, matrix, message):
+        # M^dagger M - I entry by entry against UNITARY_TOL = 1e-12, with no
+        # relative term: 1.000004 on the diagonal would be a norm drift of 8e-6
+        with pytest.raises(ValueError, match=message):
+            Gate("bad", matrix)
+
+    def test_unitaries_pass(self):
+        for gate in (HADAMARD, PAULI_X, PAULI_Z):
+            assert Gate(gate.name, gate.matrix).matrix == gate.matrix
+        assert Gate("I", np.eye(2)).matrix == ((1, 0), (0, 1))
+        gen = np.random.default_rng(0)
+        for _ in range(200):  # as test_dense_reference's random gates
+            q, _ = np.linalg.qr(gen.normal(size=(2, 2)) + 1j * gen.normal(size=(2, 2)))
+            Gate("U", q)
 
 
 class TestTensorProduct:
@@ -320,7 +351,7 @@ class TestApplyCnot:
 class TestMeasure:
     def test_uniform_superposition_probability(self):
         plus = apply_single(basis_state([0]), 0, HADAMARD)
-        outcome, post = measure(plus, 0, Basis.COMPUTATIONAL, RandomSource(3))
+        outcome, post = measure(plus, 0, RandomSource(3))
         assert outcome in (0, 1)
         np.testing.assert_allclose(
             post.amplitudes, [1, 0] if outcome == 0 else [0, 1], atol=1e-12
@@ -329,34 +360,36 @@ class TestMeasure:
     def test_hadamard_basis_on_plus_is_deterministic(self):
         plus = apply_single(basis_state([0]), 0, HADAMARD)
         for seed in range(8):
-            outcome, _ = measure(plus, 0, Basis.HADAMARD, RandomSource(seed))
+            outcome, _ = measure(apply_single(plus, 0, HADAMARD), 0, RandomSource(seed))
             assert outcome == 0
 
     def test_w_qubit_probability_is_one_over_n(self):
         # the post-state is renormalized by the branch weight, 1/4 or 3/4
         outcomes = set()
         for seed in range(16):
-            outcome, post = measure(w_state(4), 1, Basis.COMPUTATIONAL, RandomSource(seed))
+            outcome, post = measure(w_state(4), 1, RandomSource(seed))
             outcomes.add(outcome)
             expected = {0b0100: 1.0} if outcome else {i: 1 / math.sqrt(3) for i in (8, 2, 1)}
             assert post.support == pytest.approx(expected)
         assert outcomes == {0, 1}
 
     def test_measured_qubit_stays_pinned(self):
-        outcome, post = measure(ghz(3), 0, Basis.COMPUTATIONAL, RandomSource(5))
+        outcome, post = measure(ghz(3), 0, RandomSource(5))
         assert post.num_qubits == 3
         table = marginal_distribution(post, [0])
         assert table[(outcome,)] == pytest.approx(1.0)
 
     def test_basis_equivalence(self):
-        # Hadamard-basis measurement == H then computational, branch for branch.
-        s = random_state(3, seed=9)
+        # A Hadamard-basis measurement, H then ``measure``, lands on a branch
+        # that enumerating the rotated state gives, post-state included.
+        rotated = apply_single(random_state(3, seed=9), 1, HADAMARD)
+        branches = {
+            out: post
+            for (out,), _, post in enumerate_branches(rotated, [1], [Basis.COMPUTATIONAL])
+        }
         for seed in range(6):
-            out_a, post_a = measure(s, 1, Basis.HADAMARD, RandomSource(seed))
-            rotated = apply_single(s, 1, HADAMARD)
-            out_b, post_b = measure(rotated, 1, Basis.COMPUTATIONAL, RandomSource(seed))
-            assert out_a == out_b
-            np.testing.assert_allclose(post_a.amplitudes, post_b.amplitudes, atol=1e-12)
+            out, post = measure(rotated, 1, RandomSource(seed))
+            np.testing.assert_allclose(post.amplitudes, branches[out].amplitudes, atol=1e-12)
 
     def test_sampled_frequencies_match_branch_probabilities(self):
         # 1e5 samples of one W-state qubit vs the exhaustive branch weight,
@@ -371,7 +404,7 @@ class TestMeasure:
         rng = RandomSource(123)
         samples = 100_000
         ones = sum(
-            measure(state, 1, Basis.COMPUTATIONAL, rng)[0]
+            measure(state, 1, rng)[0]
             for _ in range(samples)
         )
         sigma = math.sqrt(samples * p * (1 - p))
@@ -421,6 +454,11 @@ class TestEnumerateBranches:
     def test_duplicate_qubits_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             enumerate_branches(ghz(2), [0, 0], [Basis.COMPUTATIONAL] * 2)
+
+    @pytest.mark.parametrize("bases", [1, 3])
+    def test_one_basis_per_qubit_required(self, bases):
+        with pytest.raises(ValueError, match="one basis per measured qubit"):
+            enumerate_branches(ghz(2), [0, 1], [Basis.COMPUTATIONAL] * bases)
 
 
 class TestFidelity:
@@ -681,15 +719,15 @@ class TestSupportStorage:
         tiny = 1e-17
         state = dense_state(1, np.array([tiny, math.sqrt(1.0 - tiny**2)]))
         rng = _FixedRandom(0.0)
-        outcome, post = measure(state, 0, Basis.COMPUTATIONAL, rng)
+        outcome, post = measure(state, 0, rng)
         assert outcome == 1
         assert sorted(post.support) == [1]
 
     def test_one_draw_per_measurement(self):
         rng = _FixedRandom(0.3)
-        state = random_state(3, seed=2)
-        for qubit, basis in [(0, Basis.COMPUTATIONAL), (1, Basis.HADAMARD), (2, Basis.COMPUTATIONAL)]:
-            _, state = measure(state, qubit, basis, rng)
+        state = apply_single(random_state(3, seed=2), 1, HADAMARD)  # qubit 1 in the H basis
+        for qubit in range(3):
+            _, state = measure(state, qubit, rng)
         assert rng.draws == 3
 
     def test_amplitudes_view_is_read_only(self):
@@ -743,7 +781,7 @@ def measure_loop(state: StateVector, qubits, rng) -> tuple[tuple[int, ...], Stat
     """The reference ``measure_sequence`` must agree with: ``measure`` on each qubit in turn."""
     outcomes = []
     for qubit in qubits:
-        bit, state = measure(state, qubit, Basis.COMPUTATIONAL, rng)
+        bit, state = measure(state, qubit, rng)
         outcomes.append(bit)
     return tuple(outcomes), state
 
@@ -829,7 +867,7 @@ class TestMeasureSequence:
         # for measure_sequence as for measure (reachable only unchecked)
         empty = _state(2, {0b01: 1e-200})
         with pytest.raises(ValueError, match="zero-probability branch"):
-            measure(empty, 0, Basis.COMPUTATIONAL, RandomSource(0))
+            measure(empty, 0, RandomSource(0))
         with pytest.raises(ValueError, match="zero-probability branch"):
             measure_sequence(empty, [0, 1], RandomSource(0))
 
