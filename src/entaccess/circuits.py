@@ -36,8 +36,8 @@ def end_node_count(n: int) -> int:
         raise ValueError("need at least one end-node")
     if n > MAX_END_NODES:
         raise ValueError(
-            f"n={n} end-nodes is over the limit of {MAX_END_NODES}: "
-            "a slot holds about 0.6 kB per end-node"
+            f"n={n} end-nodes is over the limit of {MAX_END_NODES}, "
+            "the largest network entaccess simulates or exports"
         )
     return n
 

@@ -18,8 +18,8 @@ and being forked then, they do not see module functions monkeypatched
 later.
 
 Chi-squares are derived from the stored winner histograms when they are
-read, and only then is scipy imported: output that reports none (slot
-runs, traces, csv histograms, anonymity) never loads it.
+read, in plain arithmetic: the p-value is the finite series of the
+chi-square survival function for integer degrees of freedom.
 
 Also here: the exhaustive branch enumerator, which walks every measurement
 branch of a slot using only the simulator primitives. It is the oracle the
@@ -29,6 +29,7 @@ branch, and winner-identity posteriors for the anonymity checks).
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import os
 import signal
@@ -78,10 +79,32 @@ _TRAFFIC_MAX_SEEDS = 512
 
 def _chisquare(counts: list[int]) -> tuple[float, float]:
     """(statistic, p-value) of ``counts`` against the uniform distribution."""
-    from scipy import stats  # 0.47 s to import warm; only readers of a chi-square pay it
+    expected = sum(counts) / len(counts)
+    stat = math.fsum((c - expected) ** 2 / expected for c in counts)
+    return stat, _chi2_sf(stat, len(counts) - 1)
 
-    stat, p = stats.chisquare(counts)
-    return float(stat), float(p)
+
+def _chi2_sf(x: float, dof: int) -> float:
+    """P(X > x) for X chi-square with ``dof`` >= 1 degrees of freedom.
+
+    For integer dof it is a finite series (Abramowitz & Stegun 26.4.4 and
+    26.4.5) in y = x/2: the sum of y^a e^-y / Gamma(a + 1) over a = 0, 1, ...,
+    dof/2 - 1 for even dof, and over a = 1/2, 3/2, ..., dof/2 - 1 plus
+    erfc(sqrt(y)) for odd dof. Each term is exponentiated from its logarithm,
+    through ``math.lgamma``, so e^-y never underflows on its own for any n
+    up to ``MAX_END_NODES``.
+    """
+    y = x / 2
+    if y == 0:
+        return 1.0
+    log_y = math.log(y)
+    terms = [
+        math.exp(a * log_y - y - math.lgamma(a + 1))
+        for a in (j + dof % 2 / 2 for j in range(dof // 2))
+    ]
+    if dof % 2:
+        terms.append(math.erfc(math.sqrt(y)))
+    return min(math.fsum(terms), 1.0)  # rounding can carry the sum past 1 at small x
 
 
 @dataclass(frozen=True)

@@ -124,8 +124,8 @@ def test_interpreter_exits_with_a_live_pool():
 
 
 # Runs in a fresh interpreter: imports entaccess (and, given arguments, runs
-# the command line on them with stdout discarded), then prints whether
-# scipy.stats was loaded.
+# the command line on them with stdout discarded), then prints whether any
+# part of scipy was loaded.
 _SCIPY_PROBE = """
 import contextlib, io, sys
 import entaccess
@@ -133,11 +133,11 @@ if sys.argv[1:]:
     from entaccess.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print("scipy.stats" in sys.modules)
+print("scipy" in sys.modules)
 """
 
 
-def _loads_scipy_stats(argv: list[str]) -> bool:
+def _loads_scipy(argv: list[str]) -> bool:
     done = subprocess.run(
         [sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True, timeout=60
     )
@@ -161,7 +161,7 @@ def _loads_scipy_stats(argv: list[str]) -> bool:
          "session-csv", "fairness-csv"],
 )
 def test_output_without_chi_square_does_not_load_scipy(argv):
-    assert not _loads_scipy_stats(argv.split())
+    assert not _loads_scipy(argv.split())
 
 
 @pytest.mark.parametrize(
@@ -169,8 +169,33 @@ def test_output_without_chi_square_does_not_load_scipy(argv):
     ["session --n 4 --seed 1 --trials 5", "fairness --n 4 --seed 1 --trials 100"],
     ids=["session", "fairness"],
 )
-def test_output_with_chi_square_loads_scipy(argv):
-    assert _loads_scipy_stats(argv.split())
+def test_output_with_chi_square_does_not_load_scipy(argv):
+    assert not _loads_scipy(argv.split())
+
+
+# Runs the command line in a fresh interpreter in which ``import scipy`` fails.
+_WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+from entaccess.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        ("fairness --n 8 --seed 5 --trials 500", "fairness_n8"),
+        ("session --n 5 --seed 4 --trials 40", "session_n5_json"),
+    ],
+    ids=["fairness", "session"],
+)
+def test_chi_square_output_needs_no_scipy(argv, golden):
+    done = subprocess.run(
+        [sys.executable, "-c", _WITHOUT_SCIPY, *argv.split()], capture_output=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (Path(__file__).parent / "golden" / f"{golden}.txt").read_bytes()
 
 
 class TestFairness:

@@ -16,6 +16,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dense_states import basis_state
@@ -27,6 +29,8 @@ from entaccess.protocol import ProtocolError, SlotType, contend
 from entaccess.session import (
     DEFAULT_SLOT_PATTERN,
     SessionConfig,
+    _chi2_sf,
+    _chisquare,
     anonymity_experiment,
     collect_traffic_shapes,
     enumerate_slot_branches,
@@ -34,6 +38,17 @@ from entaccess.session import (
     run_session,
 )
 from entaccess.statevector import RandomSource, StateVector, haar_qubit
+
+
+def assert_matches_scipy(chi_square, counts, p_tol=1e-12):
+    """``(stat, p)`` equals ``scipy.stats.chisquare(counts)`` to 1e-15 and ``p_tol`` relative.
+
+    The package computes the chi-square in plain arithmetic; scipy is the
+    reference it is checked against, and the two round differently.
+    """
+    stat, p = scipy_stats.chisquare(counts)
+    assert math.isclose(chi_square[0], stat, rel_tol=1e-15)
+    assert math.isclose(chi_square[1], p, rel_tol=p_tol)
 
 
 class TestSessionConfig:
@@ -153,8 +168,7 @@ class TestRunSession:
     def test_chi_square_read_from_histogram(self, n, jobs):
         stats, _ = run_session(SessionConfig(n=n, seed=n, trials=30), jobs=jobs)
         for st, hist in stats.winner_hist.items():
-            stat, p = scipy_stats.chisquare(list(hist.values()))
-            assert stats.chi_square[st] == (float(stat), float(p))
+            assert_matches_scipy(stats.chi_square[st], list(hist.values()))
 
     def test_winner_histograms_near_uniform(self):
         config = SessionConfig(n=4, seed=17, trials=500)
@@ -503,8 +517,9 @@ class TestFairness:
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_chi_square_read_from_histogram(self, n):
         result = fairness_experiment(n, 300, seed=n)
-        stat, p = scipy_stats.chisquare(list(result.histogram.values()))
-        assert (result.chi_square, result.p_value) == (float(stat), float(p))
+        assert_matches_scipy(
+            (result.chi_square, result.p_value), list(result.histogram.values())
+        )
 
     def test_to_dict_computes_one_chi_square(self, monkeypatch):
         calls = []
@@ -543,6 +558,48 @@ class TestFairness:
         # seeding trial t with seed ^ t ran seeds 0 and 1 on the same trials
         histograms = [fairness_experiment(4, 1000, seed).histogram for seed in (0, 1)]
         assert histograms[0] != histograms[1]
+
+
+class TestChiSquare:
+    """The closed-form chi-square of ``_chisquare`` against scipy's."""
+
+    @pytest.mark.parametrize("total", ["n", "10n+3", 1000, 100_000])
+    def test_matches_scipy_for_every_n_up_to_1024(self, total):
+        rng = np.random.default_rng(7)
+        for n in range(2, 1025):
+            trials = {"n": n, "10n+3": 10 * n + 3}.get(total, total)
+            counts = rng.multinomial(trials, [1 / n] * n).tolist()
+            assert_matches_scipy(_chisquare(counts), counts)
+
+    def test_matches_scipy_at_n_100000(self):
+        n = 100_000
+        counts = np.random.default_rng(3).multinomial(5 * n, [1 / n] * n).tolist()
+        # Each series term is a difference of logs near 1e6, so lgamma's
+        # rounding costs more digits here than at n <= 1024.
+        assert_matches_scipy(_chisquare(counts), counts, p_tol=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 1024])
+    def test_all_equal_histogram_has_p_one(self, n):
+        assert _chisquare([5] * n) == (0.0, 1.0)
+
+    @given(st.floats(min_value=0, max_value=1e6))
+    @settings(max_examples=200, deadline=None)
+    def test_dof_one_and_two_are_erfc_and_exp(self, x):
+        assert _chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert _chi2_sf(x, 2) == math.exp(-x / 2)
+
+    @given(
+        st.integers(min_value=1, max_value=2047),
+        st.floats(min_value=0, max_value=1e4),
+        st.floats(min_value=0, max_value=1e4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_p_value_is_a_probability_non_increasing_in_x(self, dof, x1, x2):
+        lo, hi = sorted((x1, x2))
+        p_lo, p_hi = _chi2_sf(lo, dof), _chi2_sf(hi, dof)
+        assert 0.0 <= p_hi and p_lo <= 1.0
+        # Adjacent floats can swap by the series' rounding, never by more.
+        assert p_hi <= p_lo * (1 + 1e-12)
 
 
 def test_every_trial_of_every_seed_has_its_own_stream():
