@@ -23,6 +23,7 @@ import itertools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .statevector import StateVector, as_int
 
@@ -99,8 +100,15 @@ class LeaderAwareLayout:
         return cls(n)
 
 
+@lru_cache(maxsize=16, typed=True)
 def prepare_ghz(q: int) -> StateVector:
-    """(|0...0> + |1...1>)/sqrt(2) over q qubits."""
+    """(|0...0> + |1...1>)/sqrt(2) over q qubits.
+
+    Built and validated once per ``q`` (and type of ``q``, so a float is
+    still refused): states are immutable, so every slot of a run shares one.
+    The cache holds at most 16 sizes, each two terms whose index ints take
+    q bits.
+    """
     q = as_int("q", q)
     if q < 2:
         raise ValueError("GHZ state needs at least two qubits")

@@ -18,6 +18,7 @@ import math
 import operator
 from dataclasses import dataclass
 from functools import reduce
+from itertools import cycle
 from typing import Iterable
 
 from .statevector import (
@@ -50,9 +51,10 @@ class PSequence:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if any(b not in (0, 1) for b in self.bits):
+        ones = self.bits.count(1)
+        if self.bits.count(0) + ones != len(self.bits):
             raise ValueError("sequence entries must be bits")
-        if sum(self.bits) != 2:
+        if ones != 2:
             raise ValueError("exactly two entries must be 1")
 
     def __len__(self) -> int:
@@ -73,12 +75,13 @@ class PSequence:
     @property
     def pair(self) -> tuple[int, int]:
         """The two winner indices, ascending."""
-        winners = tuple(i for i, b in enumerate(self.bits) if b == 1)
-        return winners  # length 2 by the invariant
+        a = self.bits.index(1)
+        return a, self.bits.index(1, a + 1)  # two ones by the invariant
 
     @property
     def losers(self) -> tuple[int, ...]:
-        return tuple(i for i, b in enumerate(self.bits) if b == 0)
+        a, b = self.pair
+        return (*range(a), *range(a + 1, b), *range(b + 1, len(self.bits)))
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,47 @@ def loser_parity(outcomes: Iterable[int]) -> int:
     return reduce(operator.xor, outcomes, 0)
 
 
+def _outcome_zero_walk(zero: complex, one: complex, limit: int) -> tuple[tuple, ...]:
+    """Extraction's walk from amplitudes ``(zero, one)`` down the outcome-0 branches.
+
+    One ``(p0, root, zero after)`` per loser step: the step's H, then its
+    outcome-0 projection. That triple is the same whatever the outcomes,
+    because HADAMARD's rows give ``m10 == m00`` and ``m11 == -m01``: the
+    ``zero`` term is the same on both branches, ``one`` only changes sign,
+    and each weight reads ``one`` only through ``abs``. The walk stops once
+    it is back at its start, bitwise (``zero``'s parts and the size of
+    ``one``'s), so it holds one period, which repeats; otherwise after
+    ``limit`` steps, or at a step of weight at most ``_BRANCH_EPS``, which
+    ``extract_epr`` raises at.
+    """
+    (m00, m01), _ = HADAMARD.matrix
+
+    def key(zero: complex, one: complex) -> tuple[str, ...]:
+        return zero.real.hex(), zero.imag.hex(), abs(one.real).hex(), abs(one.imag).hex()
+
+    start = key(zero, one)
+    walk = []
+    while len(walk) < limit:
+        zero0, one0 = m00 * zero, m01 * one
+        p0 = 0.0 + abs(zero0) ** 2 + abs(one0) ** 2
+        if p0 <= _BRANCH_EPS:
+            walk.append((p0, None, None))
+            break
+        root = math.sqrt(p0)
+        zero, one = zero0 / root, one0 / root
+        walk.append((p0, root, zero))
+        if key(zero, one) == start:
+            break
+    return tuple(walk)
+
+
+_GHZ_AMP = complex(_SQ2)  # ``prepare_ghz``'s amplitude, on both terms
+_PERIOD_LIMIT = 8
+# Two steps, p0 0.4999999999999998 then 0.5. Only a walk shorter than its
+# limit is known to be a period; a longer one could not be replayed past it.
+_GHZ_WALK = _outcome_zero_walk(_GHZ_AMP, _GHZ_AMP, _PERIOD_LIMIT)
+
+
 def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> ExtractionResult:
     """Measure every loser qubit in the Hadamard basis, leaving the pair a Bell state.
 
@@ -128,9 +172,14 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
     terms, every unmeasured qubit 0 (``zero``) or every one 1 (``one``), so
     only their amplitudes are carried, through the float steps of H and then
     ``measure(state, loser, rng)``, one draw per loser in ascending order.
-    Outcomes, parity and post-state equal that per-loser walk bit for bit
-    (pinned in tests); ``apply_up`` followed by computational measurements
-    gives the same statistics.
+    Each step's p0, norm and ``zero`` do not depend on the outcomes, so they
+    are replayed from ``_outcome_zero_walk``: the constant ``_GHZ_WALK`` for
+    ``prepare_ghz``'s amplitudes (a signed zero in their imaginary parts
+    leaves every step unchanged), else a walk built for this call. Only
+    ``one`` is multiplied and divided per loser. Outcomes, parity and
+    post-state equal that per-loser walk bit for bit (pinned in tests);
+    ``apply_up`` followed by computational measurements gives the same
+    statistics.
     """
     if ghz.num_qubits != len(p):
         raise ValueError(
@@ -141,28 +190,29 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
     support = ghz._support
     if support.keys() != {0, top}:
         raise ValueError("extract_epr needs a GHZ-shaped state: terms |0...0> and |1...1> only")
-    (m00, m01), (m10, m11) = HADAMARD.matrix
+    (_, m01), (_, m11) = HADAMARD.matrix
     zero, one = support[0], support[top]
+    losers = p.losers
+    if zero == one == _GHZ_AMP and len(_GHZ_WALK) < _PERIOD_LIMIT:
+        walk = _GHZ_WALK
+    else:
+        walk = _outcome_zero_walk(zero, one, len(losers))
     outcomes: dict[int, int] = {}
-    for qubit in p.losers:
-        # H on ``qubit``: each term splits into its bit-0 and bit-1 halves
-        zero0, zero1, one0, one1 = m00 * zero, m10 * zero, m01 * one, m11 * one
-        p0 = 0.0 + abs(zero0) ** 2 + abs(one0) ** 2
+    for qubit, (p0, root, zero) in zip(losers, cycle(walk)):
         outcome = _sample(p0, rng)
-        prob = (0.0 + abs(zero1) ** 2 + abs(one1) ** 2) if outcome else p0
-        if prob <= _BRANCH_EPS:
-            raise _zero_branch(qubit, outcome, prob)
-        root = math.sqrt(prob)
-        zero, one = (zero1 / root, one1 / root) if outcome else (zero0 / root, one0 / root)
+        if p0 <= _BRANCH_EPS:  # either outcome's branch weighs p0
+            raise _zero_branch(qubit, outcome, p0)
+        one = (m11 if outcome else m01) * one / root
         outcomes[qubit] = outcome
     # the losers' outcome-1 bits, set in both terms
     pinned = _index_with(num_qubits, outcomes)
-    pair_bits = sum(1 << (num_qubits - 1 - q) for q in p.pair)
+    pair = p.pair
+    pair_bits = sum(1 << (num_qubits - 1 - q) for q in pair)
     terms = [(pinned, zero), (pinned | pair_bits, one)]
     if next(iter(support)) != 0:
         terms.reverse()  # keep the input's term order
     return ExtractionResult(
-        pair=p.pair,
+        pair=pair,
         outcomes=outcomes,
         parity=loser_parity(outcomes.values()),
         state=_state(num_qubits, dict(terms)),

@@ -46,9 +46,11 @@ from .statevector import (
     HADAMARD,
     PAULI_X,
     PAULI_Z,
+    _BRANCH_EPS,
     RandomSource,
     StateVector,
-    _sample_branch,
+    _sample,
+    _zero_branch,
     apply_cnot,
     apply_single,
     bloch_qubit,
@@ -105,6 +107,10 @@ class EndNodeReport:
     q: int
 
     KIND = "report"
+
+
+# A report's four values, each built once and shared: a report is immutable.
+_REPORTS = {(g, q): EndNodeReport(g, q) for g in (0, 1) for q in (0, 1)}
 
 
 @dataclass(frozen=True)
@@ -187,9 +193,12 @@ def slot_messages(
     parity: int,
 ) -> tuple[ClassicalMessage, ...]:
     """Each ``node: (g, q)`` report, addressed to the orchestrator; then, in downlink,
-    the orchestrator's broadcast, unaddressed so that it names no receiver."""
+    the orchestrator's broadcast, unaddressed so that it names no receiver.
+
+    ``g`` and ``q`` are bits, so each report is one of the four ``_REPORTS``.
+    """
     messages = [
-        ClassicalMessage(node, ORCHESTRATOR, EndNodeReport(g, q)) for node, (g, q) in reports.items()
+        ClassicalMessage(node, ORCHESTRATOR, _REPORTS[bits]) for node, bits in reports.items()
     ]
     if slot_type is SlotType.DOWNLINK:
         broadcast = OrchestratorBroadcast(q_star, g_star, parity)
@@ -242,17 +251,17 @@ def sample_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...]]:
     n = end_node_count(n)
     weight = abs(leader_aware_amplitude(n)) ** 2
     cum = list(accumulate([weight] * n, initial=0.0))
-    outcomes = []
-    won = False
-    for j in range(n):
-        if won:  # only the winner's term is left, and its W bit j is 0
-            p0, p1 = 1.0, 0.0
-        else:
-            alive, rest = cum[n - j], cum[n - j - 1]  # nodes j+1..n, and j+2..n
-            p0, p1 = rest / alive, (alive - rest) / alive
-        outcome = _sample_branch(j, p0, p1, rng)
-        won = won or outcome == 1
-        outcomes.append(outcome)
+    outcomes = [0] * n
+    for j in range(n):  # the last node's p0 is 0.0, so some node wins
+        alive, rest = cum[n - j], cum[n - j - 1]  # nodes j+1..n, and j+2..n
+        if _sample(rest / alive, rng):
+            p1 = (alive - rest) / alive
+            if p1 <= _BRANCH_EPS:
+                raise _zero_branch(j, 1, p1)
+            outcomes[j] = 1
+            break
+    for _ in range(j + 1, n):
+        _sample(1.0, rng)  # reads 0: the rule never samples a branch of weight 0.0
     return one_hot_winner(outcomes), tuple(outcomes)
 
 
@@ -262,8 +271,7 @@ def sample_ancillas(winner: int, n: int, rng: RandomSource) -> tuple[int, ...]:
     One draw per ancilla (qubits n, n+1, ...), compared with 1.0 for a 0 bit
     and 0.0 for a 1 bit.
     """
-    bits = codeword(winner, ancilla_count(n))
-    return tuple(_sample_branch(q, 1.0 - bit, float(bit), rng) for q, bit in enumerate(bits, n))
+    return tuple(_sample(1.0 - bit, rng) for bit in codeword(winner, ancilla_count(n)))
 
 
 def decode_ancilla(ancilla: Sequence[int], n: int) -> int:
@@ -332,8 +340,8 @@ def _payloads_for(
     as ``n`` calls of ``haar_qubit`` would, but only the winner's is built.
     """
     if payloads is None:
-        draws = [(rng.random(), rng.random()) for _ in range(n)]
-        return lambda winner: bloch_qubit(*draws[winner - 1])
+        draws = [rng.random() for _ in range(2 * n)]
+        return lambda winner: bloch_qubit(draws[2 * winner - 2], draws[2 * winner - 1])
     if len(payloads) != n:
         raise ValueError(f"need one payload per end-node, got {len(payloads)} for n={n}")
     for p in payloads:

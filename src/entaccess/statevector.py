@@ -37,7 +37,7 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -185,8 +185,9 @@ class RandomSource:
     ``SeedSequence(seed, spawn_key=(trial,))``, the child stream numpy
     spawns for ``trial``, so distinct pairs give independent streams.
 
-    Draws are taken from numpy ``_DRAW_BLOCK`` at a time into a buffer and
-    served from it in order. numpy's ``random(k)`` yields the same values as
+    ``random()`` returns the next uniform real in [0, 1). Draws are taken
+    from numpy ``_DRAW_BLOCK`` at a time, on the first draw of each block,
+    and served in order. numpy's ``random(k)`` yields the same values as
     ``k`` scalar ``random()`` calls, so the stream is the scalar one,
     however ``random`` and ``bit`` calls interleave.
     """
@@ -200,7 +201,9 @@ class RandomSource:
         else:
             self.check_seed(seed)
         self._gen = np.random.default_rng(seed)
-        self._draws = iter(())
+        blocks = map(np.ndarray.tolist, map(self._gen.random, repeat(_DRAW_BLOCK)))
+        # the stream's own ``__next__``: a draw is one call into C, with no Python frame
+        self.random = chain.from_iterable(blocks).__next__
 
     @staticmethod
     def check_seed(seed: int) -> int:
@@ -209,14 +212,6 @@ class RandomSource:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         return operator.index(seed)
 
-    def random(self) -> float:
-        """Next uniform real in [0, 1)."""
-        try:
-            return next(self._draws)
-        except StopIteration:
-            self._draws = iter(self._gen.random(_DRAW_BLOCK).tolist())
-            return next(self._draws)
-
     def bit(self) -> int:
         """Next fair random bit, derived from the uniform stream."""
         return 1 if self.random() < 0.5 else 0
@@ -224,6 +219,8 @@ class RandomSource:
 
 def as_int(name: str, value) -> int:
     """``value`` as a Python int; ValueError unless it is an integer (numpy's count)."""
+    if type(value) is int:  # the common case, without the abstract-class check
+        return value
     if not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return operator.index(value)
@@ -341,13 +338,16 @@ def _branch_weights(state: StateVector, qubit: int) -> tuple[float, float]:
 
 
 def _sample(p0: float, rng: RandomSource) -> int:
-    """One outcome bit, 0 with probability ``p0``, from one draw."""
-    outcome = 0 if rng.random() < p0 else 1
-    # float noise can leave a ~1e-17 weight on a branch that is really
-    # impossible; never sample it
-    if (p0 if outcome == 0 else 1.0 - p0) <= _BRANCH_EPS:
-        outcome = 1 - outcome
-    return outcome
+    """One outcome bit, 0 with probability ``p0``, from one draw: the one sampling rule.
+
+    The draw reads 0 below ``p0`` and 1 otherwise. Float noise can leave a
+    ~1e-17 weight on a branch that is really impossible, so a reading whose
+    branch weighs at most ``_BRANCH_EPS`` (``p0`` for 0, ``1 - p0`` for 1)
+    flips to the other outcome: that branch is never sampled.
+    """
+    if rng.random() < p0:
+        return 1 if p0 <= _BRANCH_EPS else 0
+    return 0 if 1.0 - p0 <= _BRANCH_EPS else 1
 
 
 def _zero_branch(qubit: int, outcome: int, prob: float) -> ValueError:
@@ -376,7 +376,7 @@ def _project(state: StateVector, qubit: int, outcome: int, prob: float) -> State
 def measure(state: StateVector, qubit: int, rng: RandomSource) -> tuple[int, StateVector]:
     """Computational-basis measurement of one qubit: (outcome bit, post-state).
 
-    One draw, sampled by ``_sample_branch`` as every sampled measurement is.
+    One draw, sampled by ``_sample``, the rule every sampled measurement uses.
     The measured qubit stays in the register. For another basis, rotate the
     qubit first: ``apply_single(state, qubit, HADAMARD)`` and then
     ``measure`` is a Hadamard-basis measurement.

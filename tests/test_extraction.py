@@ -6,10 +6,14 @@ Bell-state references, for every choice of pair, not just those containing
 the orchestrator.
 """
 
+import cmath
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from entaccess.extraction import (
     BELL_PHI_MINUS,
@@ -67,10 +71,25 @@ def assert_equals_walk(ghz, p, make_rng):
     return result
 
 
+def two_term_state(num_qubits, zero, one, zero_first=True):
+    """zero|0...0> + one|1...1>, its terms stored in either order."""
+    terms = [(0, zero), ((1 << num_qubits) - 1, one)]
+    return StateVector(num_qubits, dict(terms if zero_first else terms[::-1]))
+
+
 def skewed_ghz(num_qubits, zero_first=True):
     """0.6|0...0> + 0.8i|1...1>, its terms stored in either order."""
-    terms = [(0, 0.6), ((1 << num_qubits) - 1, 0.8j)]
-    return StateVector(num_qubits, dict(terms if zero_first else terms[::-1]))
+    return two_term_state(num_qubits, 0.6, 0.8j, zero_first)
+
+
+def ghz_in_either_order(num_qubits):
+    """``prepare_ghz``, and the same state with its |1...1> term stored first."""
+    amp = 1.0 / np.sqrt(2.0)
+    return prepare_ghz(num_qubits), two_term_state(num_qubits, amp, amp, zero_first=False)
+
+
+# extraction's two p0 values on a GHZ input, alternating from the first loser
+GHZ_P0S = (float.fromhex("0x1.ffffffffffffcp-2"), 0.5)
 
 
 class GapDraws:
@@ -249,12 +268,70 @@ class TestExtractEprEqualsLoserWalk:
             for ghz in (prepare_ghz(n + 1), skewed_ghz(n + 1, zero_first=bool(a))):
                 assert_equals_walk(ghz, p, lambda: RandomSource((n, a + b)))
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    def test_257_and_1025_qubits_in_both_term_orders(self, n):
+        # registers of 257 and 1025 qubits: the two-step GHZ period replayed
+        # 127 and 511 times, and a skewed input's walk
+        ghzs = (*ghz_in_either_order(n + 1), skewed_ghz(n + 1), skewed_ghz(n + 1, False))
+        for a, b in [(0, 1), (0, n // 3), (0, n), (n // 2, n - 1)]:
+            p = PSequence.for_pair(a, b, n)
+            for k, ghz in enumerate(ghzs):
+                assert_equals_walk(ghz, p, lambda: RandomSource((n, 4 * (a + b) + k)))
+
     @pytest.mark.parametrize("n", [3, 8, 64])
-    def test_draws_between_the_two_p0_values(self, n):
+    def test_draws_between_the_two_p0_values(self, n, monkeypatch):
         # A comparison with 0.5 would read every draw here as outcome 0.
         p = build_p_sequence(n, n)
+        seen = []
+        real = extraction._sample
+        monkeypatch.setattr(extraction, "_sample", lambda p0, rng: seen.append(p0) or real(p0, rng))
         result = assert_equals_walk(prepare_ghz(n + 1), p, GapDraws)
         assert 1 in result.outcomes.values()
+        # a GHZ input meets only these two p0 values, alternating
+        assert seen == [GHZ_P0S[k % 2] for k in range(n - 1)]
+
+    def test_hadamard_rows_make_the_walk_outcome_free(self):
+        # the zero term is the same on both branches, and the one term only
+        # changes sign, so every weight extraction compares with is one float
+        (m00, m01), (m10, m11) = HADAMARD.matrix
+        assert (m10.real.hex(), m10.imag.hex()) == (m00.real.hex(), m00.imag.hex())
+        assert m11 == -m01 and abs(m11.real).hex() == abs(m01.real).hex()
+        assert [step[0] for step in extraction._GHZ_WALK] == list(GHZ_P0S)
+
+    @given(
+        theta=st.floats(min_value=0.05, max_value=math.pi / 2 - 0.05),
+        phases=st.tuples(*[st.floats(min_value=0.0, max_value=2 * math.pi)] * 2),
+        n=st.integers(min_value=4, max_value=40),
+        winner=st.integers(min_value=1, max_value=40),
+        zero_first=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_amplitudes_whose_walk_repeats_late_or_never(
+        self, theta, phases, n, winner, zero_first, seed
+    ):
+        # Drawn amplitudes, kept only where the outcome-0 walk does not come
+        # back to its start within two steps: extract_epr then replays a long
+        # period, or steps every loser.
+        zero = cmath.rect(math.cos(theta), phases[0])
+        one = cmath.rect(math.sin(theta), phases[1])
+        ghz = two_term_state(n + 1, zero, one, zero_first)
+        support = ghz.support
+        walk = extraction._outcome_zero_walk(support[0], support[(1 << n + 1) - 1], n - 1)
+        assume(len(walk) > 2)
+        p = build_p_sequence(min(winner, n), n)
+        assert_equals_walk(ghz, p, lambda: RandomSource(seed))
+
+    def test_a_zero_branch_raises_as_the_walk_does(self):
+        # weights that underflow to 0.0, reachable only unchecked: both
+        # outcomes of the first loser are impossible
+        empty = statevector._state(3, {0b000: 1e-200, 0b111: 1e-200})
+        p = build_p_sequence(2, 2)
+        with pytest.raises(ValueError, match="zero-probability branch") as walk_error:
+            loser_walk(empty, p, RandomSource(0))
+        with pytest.raises(ValueError, match="zero-probability branch") as error:
+            extract_epr(empty, p, RandomSource(0))
+        assert str(error.value) == str(walk_error.value)
 
     @pytest.mark.parametrize("terms", [
         {0b000: 1.0},

@@ -6,15 +6,19 @@ the whole random stream (one draw per measurement, in order) and every
 printed digit across that change. ``anonymity --n 4``'s ``max_deviation`` is
 float noise around an exact 0 and differs in its last bits between the two
 storages; it is compared as a value at most 1e-12, every other byte exactly.
-The other six were captured from the separate uplink and downlink slot
+The next six were captured from the separate uplink and downlink slot
 bodies that ``run_slot`` replaced, and cover the circuit export, the csv
-formats, the session stats document and a jsonl slot.
+formats, the session stats document and a jsonl slot. The last three, slots
+at n=300 and n=257 and a 20-trial n=64 session, were captured from the slot
+that stepped extraction's float walk once per loser and rebuilt the GHZ
+state every slot, before it replayed that walk's period from a GHZ state
+built once per size.
 
-The six invocations that run seeded trials (``SEEDED_TRIALS``) were
-regenerated when trial ``t`` of seed ``s`` came to be seeded from the pair
-``(s, t)`` instead of ``s ^ t``: ``session_n4_du``, ``session_n14``,
-``session_n5_csv``, ``session_n5_json``, ``fairness_n8`` and
-``fairness_n6_csv``. No other file moved. Each of the six is also run with
+Six invocations that run seeded trials were regenerated when trial ``t`` of
+seed ``s`` came to be seeded from the pair ``(s, t)`` instead of ``s ^ t``:
+``session_n4_du``, ``session_n14``, ``session_n5_csv``, ``session_n5_json``,
+``fairness_n8`` and ``fairness_n6_csv``. No other file moved. Each of
+those, and ``session_n64_jsonl`` (``SEEDED_TRIALS``), is also run with
 ``--jobs 2``, and with ``--jobs 3`` on three CPUs (the caller and two
 workers, with unequal blocks where the trial count is not a multiple of
 three), against the same file, so the process-pool path is pinned to the
@@ -47,6 +51,9 @@ INVOCATIONS = {
     "fairness_n6_csv": "fairness --n 6 --seed 2 --trials 300 --format csv",
     "anonymity_n2_csv": "anonymity --n 2 --format csv",
     "uplink_n3_jsonl": "uplink --n 3 --seed 1 --format jsonl",
+    "uplink_n300": "uplink --n 300 --seed 5",
+    "downlink_n257": "downlink --n 257 --seed 6",
+    "session_n64_jsonl": "session --n 64 --seed 3 --trials 20 --format jsonl",
 }
 
 SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_states import basis_state, marginal_distribution
-from entaccess import protocol
-from entaccess.circuits import prepare_leader_aware
+from entaccess import extraction, protocol, statevector
+from entaccess.circuits import ancilla_count, prepare_leader_aware
 from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS
 from entaccess.protocol import (
     ClassicalMessage,
@@ -32,7 +32,12 @@ from entaccess.protocol import (
     teleport_receive,
     teleport_send,
 )
-from entaccess.session import enumerate_slot_branches
+from entaccess.session import (
+    SessionConfig,
+    enumerate_slot_branches,
+    fairness_experiment,
+    run_session,
+)
 from entaccess.statevector import (
     Basis,
     HADAMARD,
@@ -419,6 +424,108 @@ class TestRandomStream:
             assert drawn == given
             assert drawn.teleport_fidelity.hex() == given.teleport_fidelity.hex()
             assert own.random() == given_rng.random()
+
+
+class CountingSource(RandomSource):
+    """A ``RandomSource`` that counts the uniforms taken, ``bit`` draws included."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.count = 0
+        draw = self.random
+
+        def counted():
+            self.count += 1
+            return draw()
+
+        self.random = counted
+
+
+def slot_budget(n, slot_type):
+    """Uniforms one sampled slot takes: 2n payload, n W, m ancilla, n-1 loser,
+    2 teleport and n-1 dummy draws, plus the downlink winner's 2 padding bits."""
+    return 5 * n + ancilla_count(n) + (2 if slot_type is SlotType.DOWNLINK else 0)
+
+
+BUDGET_NS = [1, 2, 3, 5, 8, 13, 14, 64, 257]
+
+
+class TestDrawBudget:
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    @pytest.mark.parametrize("n", BUDGET_NS)
+    def test_a_slot_takes_its_budget(self, n, slot_type):
+        for seed in range(8):
+            rng = CountingSource((n, seed))
+            report = run_slot(n, slot_type, None, rng)
+            assert rng.count == slot_budget(n, slot_type)
+            assert report == run_slot(n, slot_type, None, RandomSource((n, seed)))
+
+    @pytest.mark.parametrize("n", BUDGET_NS)
+    def test_any_slot_replays_after_advancing_past_the_earlier_ones(self, n):
+        # A trial's slots share one stream. Skipping each earlier slot's
+        # budget with PCG64.advance replays a later slot's record exactly.
+        slots = (SlotType.DOWNLINK, SlotType.UPLINK, SlotType.UPLINK, SlotType.DOWNLINK)
+        config = SessionConfig(n=n, seed=3, slots=slots, trials=2)
+        _, records = run_session(config)
+        for index, record in enumerate(records):
+            trial, k = divmod(index, len(slots))
+            rng = RandomSource((config.seed, trial))
+            rng._gen.bit_generator.advance(sum(slot_budget(n, t) for t in slots[:k]))
+            assert run_slot(n, slots[k], None, rng).to_record(index) == record
+
+
+class OneDraw:
+    """A draw source holding one given draw."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+
+@pytest.fixture
+def flip_spy(monkeypatch):
+    """Every sampled draw, through ``_sample`` in each module that binds it,
+    tallied with the draws where its impossible-branch flip changed the outcome."""
+    real = statevector._sample
+    tally = {"draws": 0, "flips": 0}
+
+    def spy(p0, rng):
+        draw = rng.random()
+        outcome = real(p0, OneDraw(draw))
+        tally["draws"] += 1
+        tally["flips"] += outcome != (0 if draw < p0 else 1)
+        return outcome
+
+    for module in (statevector, protocol, extraction):
+        monkeypatch.setattr(module, "_sample", spy)
+    return tally
+
+
+class TestImpossibleBranchFlip:
+    # Every sampled p0 is 0.0 or 1.0 (ancillas, W bits after a win), near
+    # 1/2 (extraction, teleportation), or (n-j-1)/(n-j) before a win, so a
+    # draw in [0, 1) never lands on a branch the flip has to move it off.
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 8, 13, 64, 257])
+    def test_never_fires_in_a_sampled_slot(self, n, slot_type, flip_spy):
+        slots = 20 if n < 64 else 4
+        for seed in range(slots):
+            run_slot(n, slot_type, None, RandomSource((n, seed)))
+        # n W bits, m ancillas, n-1 losers and 2 teleport bits: each through the rule
+        assert flip_spy["draws"] == slots * (2 * n + ancilla_count(n) + 1)
+        assert flip_spy["flips"] == 0
+
+    def test_the_spy_sees_a_flip(self, flip_spy):
+        # a draw of 1.0, outside [0, 1): the W bit after node 1's win and
+        # its ancilla both compare it with p0 = 1.0, and flip to 0
+        assert run_contention(2, OneDraw(1.0)) == (1, (1, 0), (0,))
+        assert flip_spy == {"draws": 3, "flips": 2}
+
+    def test_never_fires_in_a_fairness_run(self, flip_spy):
+        fairness_experiment(8, 2000, seed=5)
+        assert flip_spy == {"draws": 8 * 2000, "flips": 0}
 
 
 class TestDeliveredFidelity:

@@ -184,7 +184,7 @@ class TestValidationHook:
             lambda: StateVector(2, {0b01: 1.0}),
             lambda: StateVector.qubit(0.6, 0.8j),
             lambda: product_state([(1.0, 0.0), (SQ2, SQ2)]),
-            lambda: prepare_ghz(4),
+            lambda: prepare_ghz.cache_clear() or prepare_ghz(4),
             lambda: prepare_leader_aware(5),
         ],
         ids=["init", "qubit", "product_state", "prepare_ghz", "prepare_leader_aware"],
@@ -192,6 +192,14 @@ class TestValidationHook:
     def test_public_construction_validates_once(self, validations, build):
         build()
         assert len(validations) == 1
+
+    def test_ghz_is_built_once_per_size(self, validations):
+        prepare_ghz.cache_clear()
+        ghz = prepare_ghz(4)
+        assert prepare_ghz(4) is ghz and prepare_ghz(np.int64(4)) == ghz
+        assert validations == [4, 4]  # one build for the int, one for numpy's
+        with pytest.raises(ValueError, match="integer"):
+            prepare_ghz(4.0)
 
     @pytest.mark.parametrize(
         "derive",
