@@ -13,11 +13,9 @@ from entaccess import (
     LeaderAwareLayout,
     RandomSource,
     circuit_text,
-    contend,
     decode_ancilla,
     fairness_experiment,
-    prepare_leader_aware,
-    read_ancillas,
+    run_contention,
 )
 
 n = 4
@@ -28,9 +26,7 @@ print(circuit_text(n))
 
 print("winner / ancilla correspondence over a few seeded rounds:")
 for seed in range(6):
-    rng = RandomSource(seed)
-    winner, w_outcomes, state = contend(prepare_leader_aware(n), rng)
-    ancilla, _ = read_ancillas(state, layout, rng)
+    winner, w_outcomes, ancilla = run_contention(n, RandomSource(seed))
     print(
         f"  seed {seed}: W outcomes {w_outcomes} -> winner N_{winner}, "
         f"ancilla readout {ancilla} decodes to N_{decode_ancilla(ancilla, n)}"

@@ -25,7 +25,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .statevector import StateVector, as_int
+from .statevector import _SQ2, StateVector, as_int
 
 MAX_END_NODES = 1_000_000  # a sampled slot peaks near 0.6 kB per end-node: ~0.6 GB at the limit
 
@@ -112,8 +112,7 @@ def prepare_ghz(q: int) -> StateVector:
     q = as_int("q", q)
     if q < 2:
         raise ValueError("GHZ state needs at least two qubits")
-    amp = 1.0 / math.sqrt(2.0)
-    return StateVector(q, {0: amp, (1 << q) - 1: amp})
+    return StateVector(q, {0: _SQ2, (1 << q) - 1: _SQ2})
 
 
 def leader_aware_circuit(n: int) -> Iterator[tuple[int, int]]:

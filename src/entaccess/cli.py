@@ -23,6 +23,7 @@ from .circuits import circuit_lines, end_node_count
 from .protocol import SlotType, run_contention, run_slot
 from .session import (
     DEFAULT_SLOT_PATTERN,
+    MAX_ORACLE_N,
     SessionConfig,
     anonymity_experiment,
     fairness_experiment,
@@ -207,7 +208,9 @@ def build_parser() -> argparse.ArgumentParser:
     add_jobs(p)
     p.set_defaults(func=_cmd_fairness, formats=("json", "csv"))
 
-    p = sub.add_parser("anonymity", help="exhaustive winner-anonymity check (n <= 8)")
+    p = sub.add_parser(
+        "anonymity", help=f"exhaustive winner-anonymity check (n <= {MAX_ORACLE_N})"
+    )
     add_common(p, seed=False)
     p.set_defaults(func=_cmd_anonymity, formats=("json", "csv"))
 

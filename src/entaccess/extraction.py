@@ -7,9 +7,10 @@ left holding a Bell pair: |Phi+> when the losers' outcomes have even
 parity, |Phi-> when odd, so one parity-conditioned Z repairs the pair.
 
 Everything here is local: single-qubit gates and single-qubit measurements
-only, plus the classical outcome bits. ``extract_epr`` takes a GHZ-shaped
-state (two terms, on |0...0> and |1...1>), which keeps two terms through
-every loser's measurement, and carries just those two amplitudes.
+only, plus the classical outcome bits. ``extract_epr`` takes the shared
+state ``prepare_ghz`` builds, (|0...0> + |1...1>)/sqrt(2), which keeps two
+terms through every loser's measurement, and carries just those two
+amplitudes along one walk computed at import.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from typing import Iterable
 
 from .statevector import (
     _BRANCH_EPS,
+    _SQ2,
     HADAMARD,
     PAULI_Z,
     RandomSource,
@@ -30,12 +32,10 @@ from .statevector import (
     _index_with,
     _sample,
     _state,
-    _zero_branch,
     apply_single,
     embed,
 )
 
-_SQ2 = 1.0 / math.sqrt(2.0)
 BELL_PHI_PLUS = StateVector(2, {0b00: _SQ2, 0b11: _SQ2})
 BELL_PHI_MINUS = StateVector(2, {0b00: _SQ2, 0b11: -_SQ2})
 
@@ -123,63 +123,49 @@ def loser_parity(outcomes: Iterable[int]) -> int:
     return reduce(operator.xor, outcomes, 0)
 
 
-def _outcome_zero_walk(zero: complex, one: complex, limit: int) -> tuple[tuple, ...]:
-    """Extraction's walk from amplitudes ``(zero, one)`` down the outcome-0 branches.
+def _ghz_walk() -> tuple[tuple[float, float, complex], ...]:
+    """Extraction's walk from ``prepare_ghz``'s amplitudes down the outcome-0 branches.
 
     One ``(p0, root, zero after)`` per loser step: the step's H, then its
     outcome-0 projection. That triple is the same whatever the outcomes,
     because HADAMARD's rows give ``m10 == m00`` and ``m11 == -m01``: the
     ``zero`` term is the same on both branches, ``one`` only changes sign,
-    and each weight reads ``one`` only through ``abs``. The walk stops once
-    it is back at its start, bitwise (``zero``'s parts and the size of
-    ``one``'s), so it holds one period, which repeats; otherwise after
-    ``limit`` steps, or at a step of weight at most ``_BRANCH_EPS``, which
-    ``extract_epr`` raises at.
+    and each weight reads ``one`` only through ``abs``. From 1/sqrt(2) on
+    both terms the walk is back at its start, bitwise, after two steps, with
+    p0 0.4999999999999998 then 0.5 (pinned in tests), so those two steps
+    repeat for every loser.
     """
     (m00, m01), _ = HADAMARD.matrix
-
-    def key(zero: complex, one: complex) -> tuple[str, ...]:
-        return zero.real.hex(), zero.imag.hex(), abs(one.real).hex(), abs(one.imag).hex()
-
-    start = key(zero, one)
+    zero = one = complex(_SQ2)
     walk = []
-    while len(walk) < limit:
+    for _ in range(2):
         zero0, one0 = m00 * zero, m01 * one
         p0 = 0.0 + abs(zero0) ** 2 + abs(one0) ** 2
-        if p0 <= _BRANCH_EPS:
-            walk.append((p0, None, None))
-            break
         root = math.sqrt(p0)
         zero, one = zero0 / root, one0 / root
         walk.append((p0, root, zero))
-        if key(zero, one) == start:
-            break
     return tuple(walk)
 
 
-_GHZ_AMP = complex(_SQ2)  # ``prepare_ghz``'s amplitude, on both terms
-_PERIOD_LIMIT = 8
-# Two steps, p0 0.4999999999999998 then 0.5. Only a walk shorter than its
-# limit is known to be a period; a longer one could not be replayed past it.
-_GHZ_WALK = _outcome_zero_walk(_GHZ_AMP, _GHZ_AMP, _PERIOD_LIMIT)
+_GHZ_WALK = _ghz_walk()
+# Either outcome's branch weighs p0, so no loser step meets an impossible branch.
+if min(p0 for p0, _, _ in _GHZ_WALK) <= _BRANCH_EPS:
+    raise RuntimeError(f"extraction's GHZ walk has a zero-probability step: {_GHZ_WALK!r}")
 
 
 def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> ExtractionResult:
     """Measure every loser qubit in the Hadamard basis, leaving the pair a Bell state.
 
-    ``ghz`` must be GHZ-shaped, two terms on |0...0> and |1...1> (any
-    amplitudes), else ValueError. After each loser's H the state has two
-    terms, every unmeasured qubit 0 (``zero``) or every one 1 (``one``), so
-    only their amplitudes are carried, through the float steps of H and then
-    ``measure(state, loser, rng)``, one draw per loser in ascending order.
-    Each step's p0, norm and ``zero`` do not depend on the outcomes, so they
-    are replayed from ``_outcome_zero_walk``: the constant ``_GHZ_WALK`` for
-    ``prepare_ghz``'s amplitudes (a signed zero in their imaginary parts
-    leaves every step unchanged), else a walk built for this call. Only
-    ``one`` is multiplied and divided per loser. Outcomes, parity and
-    post-state equal that per-loser walk bit for bit (pinned in tests);
-    ``apply_up`` followed by computational measurements gives the same
-    statistics.
+    ``ghz`` must equal ``prepare_ghz(len(p))``, else ValueError: the shared
+    GHZ state is the protocol's one extraction resource. After each loser's
+    H the state has two terms, every unmeasured qubit 0 (``zero``) or every
+    one 1 (``one``), so only their amplitudes are carried, through the float
+    steps of H and then ``measure(state, loser, rng)``, one draw per loser in
+    ascending order. Each step's p0, norm and ``zero`` do not depend on the
+    outcomes, so every loser replays ``_GHZ_WALK``; only ``one`` is
+    multiplied and divided per loser. Outcomes, parity and post-state equal
+    that per-loser walk bit for bit (pinned in tests); ``apply_up`` followed
+    by computational measurements gives the same statistics.
     """
     if ghz.num_qubits != len(p):
         raise ValueError(
@@ -188,34 +174,26 @@ def extract_epr(ghz: StateVector, p: PSequence, rng: RandomSource) -> Extraction
     num_qubits = ghz.num_qubits
     top = (1 << num_qubits) - 1
     support = ghz._support
-    if support.keys() != {0, top}:
-        raise ValueError("extract_epr needs a GHZ-shaped state: terms |0...0> and |1...1> only")
+    if support != {0: _SQ2, top: _SQ2}:
+        raise ValueError(
+            "extract_epr takes prepare_ghz's state only: (|0...0> + |1...1>)/sqrt(2)"
+        )
     (_, m01), (_, m11) = HADAMARD.matrix
     zero, one = support[0], support[top]
-    losers = p.losers
-    if zero == one == _GHZ_AMP and len(_GHZ_WALK) < _PERIOD_LIMIT:
-        walk = _GHZ_WALK
-    else:
-        walk = _outcome_zero_walk(zero, one, len(losers))
     outcomes: dict[int, int] = {}
-    for qubit, (p0, root, zero) in zip(losers, cycle(walk)):
+    for qubit, (p0, root, zero) in zip(p.losers, cycle(_GHZ_WALK)):
         outcome = _sample(p0, rng)
-        if p0 <= _BRANCH_EPS:  # either outcome's branch weighs p0
-            raise _zero_branch(qubit, outcome, p0)
         one = (m11 if outcome else m01) * one / root
         outcomes[qubit] = outcome
     # the losers' outcome-1 bits, set in both terms
     pinned = _index_with(num_qubits, outcomes)
     pair = p.pair
     pair_bits = sum(1 << (num_qubits - 1 - q) for q in pair)
-    terms = [(pinned, zero), (pinned | pair_bits, one)]
-    if next(iter(support)) != 0:
-        terms.reverse()  # keep the input's term order
     return ExtractionResult(
         pair=pair,
         outcomes=outcomes,
         parity=loser_parity(outcomes.values()),
-        state=_state(num_qubits, dict(terms)),
+        state=_state(num_qubits, {pinned: zero, pinned | pair_bits: one}),
     )
 
 

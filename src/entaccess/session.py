@@ -76,6 +76,10 @@ _PROBE_PAYLOAD = StateVector.qubit(0.6, 0.8j)
 # Seeds collect_traffic_shapes scans for every winner to appear.
 _TRAFFIC_MAX_SEEDS = 512
 
+# Largest n the exhaustive branch oracle walks: its branches, time and memory
+# grow about 2.2x per end-node (98,304 branches and 68 MB at n=12).
+MAX_ORACLE_N = 8
+
 
 def _chisquare(counts: list[int]) -> tuple[float, float]:
     """(statistic, p-value) of ``counts`` against the uniform distribution."""
@@ -349,21 +353,20 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
 def _aggregate(config: SessionConfig, rows: list[SlotRow]) -> SessionStats:
     slot_types = [st.value for st in dict.fromkeys(config.slots)]
     winner_hist = {st: {node: 0 for node in range(1, config.n + 1)} for st in slot_types}
-    bits: dict[str, set[int]] = {st: set() for st in slot_types}
     shapes: dict[str, set[tuple]] = {st: set() for st in slot_types}
     fidelities = []
     for record, shape in rows:
         st = record["slot_type"]
         winner_hist[st][record["winner"]] += 1
-        bits[st].add(sum(size for _, _, size in shape))
         shapes[st].add(shape)
         fidelities.append(record["fidelity"])
 
     classical_bits = {}
     for st in slot_types:
-        if len(bits[st]) > 1:
-            raise ProtocolError(f"classical bit budget varied across {st} slots: {bits[st]}")
-        classical_bits[st] = bits[st].pop()
+        bits = {sum(size for _, _, size in shape) for shape in shapes[st]}
+        if len(bits) > 1:
+            raise ProtocolError(f"classical bit budget varied across {st} slots: {bits}")
+        classical_bits[st] = bits.pop()
 
     return SessionStats(
         n=config.n,
@@ -458,10 +461,14 @@ def enumerate_slot_branches(
 
     It measures by branch enumeration over the per-node extraction
     unitaries, not by the sampled measurements, so it serves as an
-    independent oracle for the sampled slot runs. The slot rules themselves
+    independent oracle for the sampled slot runs. ValueError for n above
+    ``MAX_ORACLE_N``, before anything is built. The slot rules themselves
     (the contention checks, the transmitter's rotation, the receiver's
     corrections and the messages) are the protocol's own, called here.
     """
+    n = end_node_count(n)
+    if n > MAX_ORACLE_N:
+        raise ValueError(f"exhaustive branch enumeration is limited to n <= {MAX_ORACLE_N}")
     if payload is None:
         payload = _PROBE_PAYLOAD
     layout = LeaderAwareLayout(n)
@@ -542,8 +549,6 @@ def anonymity_experiment(n: int) -> AnonymityReport:
     other end-nodes. Reports the largest deviation found.
     """
     n = end_node_count(n)
-    if n > 8:
-        raise ValueError("exhaustive anonymity enumeration is limited to n <= 8")
     per_slot: dict[SlotType, SlotAnonymity] = {}
     for slot_type in (SlotType.UPLINK, SlotType.DOWNLINK):
         joint: dict[tuple, dict[int, float]] = {}

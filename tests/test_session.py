@@ -648,6 +648,14 @@ class TestEnumerator:
         with pytest.raises(ValueError, match="'uplink'"):
             enumerate_slot_branches(2, "uplink")
 
+    def test_rejects_n_over_the_limit_before_building_anything(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"prepare_leader_aware({n}) was called")
+
+        monkeypatch.setattr(entaccess.session, "prepare_leader_aware", refuse)
+        with pytest.raises(ValueError, match="n <= 8"):
+            enumerate_slot_branches(9, SlotType.UPLINK)
+
     @pytest.mark.parametrize("w_bits,winners", [((0, 0), 0), ((1, 1), 2)])
     def test_rejects_a_branch_that_is_not_one_hot(self, monkeypatch, w_bits, winners):
         state = basis_state([*w_bits, 0])  # n = 2: W qubits 0, 1; ancilla 2
