@@ -324,12 +324,19 @@ SlotRow = tuple[dict, tuple]
 def _run_trials(
     n: int, slots: tuple[SlotType, ...], trial_seeds: list[tuple[int, int]]
 ) -> list[SlotRow]:
-    """The row of every slot of a block of consecutive trials, in slot order."""
-    reports = [
-        run_slot(n, slot_type, None, rng)
-        for rng in map(RandomSource, trial_seeds)
-        for slot_type in slots
-    ]
+    """The row of every slot of a block of consecutive trials, in slot order.
+
+    A ``ProtocolError`` from a slot is raised again with the seed, the trial
+    and the slot's session-wide index in front of its message.
+    """
+    reports = []
+    for (seed, trial), rng in zip(trial_seeds, RandomSource._for_trials(trial_seeds)):
+        for k, slot_type in enumerate(slots):
+            try:
+                reports.append(run_slot(n, slot_type, None, rng))
+            except ProtocolError as exc:
+                index = trial * len(slots) + k
+                raise ProtocolError(f"seed {seed}, trial {trial}, slot {index}: {exc}") from exc
     # The rows are built after the block's slots, not between them: there
     # they cost about 2 % more of an n=4 session.
     first = trial_seeds[0][1] * len(slots)  # the session-wide index of the block's first slot
@@ -409,7 +416,7 @@ class FairnessResult:
 
 
 def _contention_winners(n: int, trial_seeds: list[tuple[int, int]]) -> list[int]:
-    return [sample_contention(n, RandomSource(s))[0] for s in trial_seeds]
+    return [sample_contention(n, rng)[0] for rng in RandomSource._for_trials(trial_seeds)]
 
 
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:

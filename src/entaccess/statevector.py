@@ -31,15 +31,16 @@ Conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, groupby, repeat
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -181,9 +182,11 @@ class RandomSource:
     """Deterministic stream of uniform reals; identical seed, identical stream.
 
     ``seed`` is a non-negative integer, or a ``(seed, trial)`` pair of them
-    that keys trial ``trial`` of a seeded experiment. The pair seeds numpy's
-    ``SeedSequence(seed, spawn_key=(trial,))``, the child stream numpy
-    spawns for ``trial``, so distinct pairs give independent streams.
+    that keys trial ``trial`` of a seeded experiment. The pair draws the
+    stream of numpy's ``SeedSequence(seed, spawn_key=(trial,))``, the child
+    stream numpy spawns for ``trial``, so distinct pairs give independent
+    streams. ``_for_trials`` builds the sources of many trials of one seed
+    at once; a pair here is a block of one.
 
     ``random()`` returns the next uniform real in [0, 1). Draws are taken
     from numpy ``_DRAW_BLOCK`` at a time, on the first draw of each block,
@@ -195,13 +198,27 @@ class RandomSource:
     def __init__(self, seed: int | tuple[int, int]):
         if isinstance(seed, tuple):
             base, trial = seed
-            self.check_seed(base)
-            self.check_seed(trial)
-            seed = np.random.SeedSequence(base, spawn_key=(trial,))
+            (gen,) = _trial_generators(self.check_seed(base), [self.check_seed(trial)])
         else:
-            self.check_seed(seed)
-        self._gen = np.random.default_rng(seed)
-        blocks = map(np.ndarray.tolist, map(self._gen.random, repeat(_DRAW_BLOCK)))
+            gen = np.random.default_rng(self.check_seed(seed))
+        self._draw_from(gen)
+
+    @classmethod
+    def _for_trials(cls, trial_seeds: Iterable[tuple[int, int]]) -> Iterator[RandomSource]:
+        """``map(RandomSource, trial_seeds)``: the same sources, one at a time.
+
+        Each run of consecutive pairs with one seed is seeded as one block by
+        ``_trial_generators``. Trials are ints; a negative one raises ValueError.
+        """
+        for seed, run in groupby(trial_seeds, operator.itemgetter(0)):
+            for gen in _trial_generators(cls.check_seed(seed), [t for _, t in run]):
+                rng = object.__new__(cls)
+                rng._draw_from(gen)
+                yield rng
+
+    def _draw_from(self, gen: np.random.Generator) -> None:
+        self._gen = gen
+        blocks = map(np.ndarray.tolist, map(gen.random, repeat(_DRAW_BLOCK)))
         # the stream's own ``__next__``: a draw is one call into C, with no Python frame
         self.random = chain.from_iterable(blocks).__next__
 
@@ -215,6 +232,125 @@ class RandomSource:
     def bit(self) -> int:
         """Next fair random bit, derived from the uniform stream."""
         return 1 if self.random() < 0.5 else 0
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx): INIT_A and
+# MULT_A hash entropy words into the pool, MIX_MULT_L and MIX_MULT_R mix them
+# with pool words, INIT_B and MULT_B hash the pool out. All arithmetic is
+# modulo 2**32; each hash step also xor-shifts by 16.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_SEED_CHUNK = 1024  # trials whose seed words one numpy pass derives
+
+
+@functools.cache
+def _hash_steps(init: int, mult: int, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The xor and multiplier constants of hash steps ``start`` .. ``start + count - 1``.
+
+    Step k xors with init·mult^k and multiplies by init·mult^(k+1), mod 2**32.
+    """
+    c = init * pow(mult, start, 1 << 32)
+    consts = []
+    for _ in range(count + 1):
+        consts.append(c & 0xFFFFFFFF)
+        c = (c & 0xFFFFFFFF) * mult
+    consts = np.array(consts, dtype=np.uint32)
+    consts.flags.writeable = False  # cached
+    return consts[:-1], consts[1:]
+
+
+@functools.cache
+def _lane_hashes(steps: int, words: int) -> tuple[np.ndarray, np.ndarray]:
+    """Hash steps ``steps`` onward for ``words`` entropy words, shaped (words, 8).
+
+    Row j holds word j's steps, one per pool lane, and repeats them for the
+    lanes' second round in ``_trial_words``.
+    """
+    xor, mult = _hash_steps(_INIT_A, _MULT_A, steps, 4 * words)
+    lanes = np.tile(xor.reshape(words, 4), 2), np.tile(mult.reshape(words, 4), 2)
+    for c in lanes:
+        c.flags.writeable = False
+    return lanes
+
+
+@functools.cache
+def _numpy_random():
+    """numpy's ``SeedSequence``, and a factory of PCG64 generators seeded with given words.
+
+    Imported on first use: importing the package leaves ``numpy.random``
+    unloaded, since the oracle never draws.
+    """
+    from numpy.random import PCG64, Generator, SeedSequence
+    from numpy.random.bit_generator import ISeedSequence
+
+    class GivenState(ISeedSequence):
+        """A seed sequence whose output is given: PCG64 seeds itself from ``words``."""
+
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    def generator(words: np.ndarray) -> Generator:
+        return Generator(PCG64(GivenState(words)))
+
+    return SeedSequence, generator
+
+
+def _trial_generators(seed: int, trials: list[int]) -> Iterator[np.random.Generator]:
+    """``default_rng(SeedSequence(seed, spawn_key=(t,)))`` for each t of ``trials``, in turn.
+
+    Draw for draw the same generators, but ``SeedSequence(seed)`` is built
+    once, the PCG64 seed words of ``_SEED_CHUNK`` trials at a time come from
+    one pass of ``_trial_words``, and each generator is made when it is
+    reached.
+    """
+    seed_sequence, generator = _numpy_random()
+    pool = seed_sequence(seed).pool
+    pool = np.concatenate((pool, pool))  # the four lanes twice round
+    # the seed's w words (padded to the pool's 4) and the all-pairs mix take 4·max(w, 4) steps
+    steps = 4 * max(4, -(-seed.bit_length() // 32))
+    for start in range(0, len(trials), _SEED_CHUNK):
+        yield from map(generator, _trial_words(pool, steps, trials[start:start + _SEED_CHUNK]))
+
+
+def _trial_words(pool: np.ndarray, steps: int, trials: list[int]) -> np.ndarray:
+    """Row i is ``SeedSequence(seed, spawn_key=(trials[i],)).generate_state(4, np.uint64)``.
+
+    ``pool`` is ``SeedSequence(seed).pool`` twice round, its four lanes
+    mixed by the first ``steps`` hash steps. numpy's entropy mix takes a
+    spawn key's words after the seed's: each word, lowest first, is hashed
+    once per lane and mixed into it. Here each word position is a column
+    over the trials, hashed into all lanes at once; a trial with fewer
+    words keeps its lanes past its last one. ``generate_state``'s output
+    hash then turns the lanes, read twice round, into eight 32-bit words,
+    two to each uint64, low word first.
+    """
+    try:
+        columns = [np.array(trials, dtype=np.uint32)]
+    except OverflowError:  # a trial of 2**32 or more, or a negative one, which check_seed rejects
+        widths = [max(1, -(-RandomSource.check_seed(t).bit_length() // 32)) for t in trials]
+        columns = [
+            np.array([t >> 32 * j & 0xFFFFFFFF for t in trials], dtype=np.uint32)
+            for j in range(max(widths))
+        ]
+        widths = np.array(widths)
+    xor, mult = _lane_hashes(steps, len(columns))
+    for j, column in enumerate(columns):
+        hashed = column[:, None] ^ xor[j]
+        hashed *= mult[j]
+        hashed ^= hashed >> 16
+        mixed = _MIX_MULT_L * pool - _MIX_MULT_R * hashed
+        mixed ^= mixed >> 16
+        pool = mixed if j == 0 else np.where((widths > j)[:, None], mixed, pool)
+    out_xor, out_mult = _hash_steps(_INIT_B, _MULT_B, 0, 8)
+    pool ^= out_xor
+    pool *= out_mult
+    pool ^= pool >> 16
+    # little-endian pairs to native uint64, as generate_state does: a no-op on x86 and ARM
+    return pool.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
 
 
 def as_int(name: str, value) -> int:

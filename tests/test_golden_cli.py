@@ -12,13 +12,19 @@ formats, the session stats document and a jsonl slot. The last three, slots
 at n=300 and n=257 and a 20-trial n=64 session, were captured from the slot
 that stepped extraction's float walk once per loser and rebuilt the GHZ
 state every slot, before it replayed that walk's period from a GHZ state
-built once per size.
+built once per size. The two ``wide_seed`` files, a fairness run under a
+five-word seed (2**128 + 1) and a session under a two-word one (2**32),
+were captured while each trial still built numpy's ``SeedSequence(seed,
+spawn_key=(trial,))``, before a block of trials came to derive those seed
+words in one pass; past four words the seed moves where a trial's words
+start in numpy's hash-constant sequence.
 
 Six invocations that run seeded trials were regenerated when trial ``t`` of
 seed ``s`` came to be seeded from the pair ``(s, t)`` instead of ``s ^ t``:
 ``session_n4_du``, ``session_n14``, ``session_n5_csv``, ``session_n5_json``,
 ``fairness_n8`` and ``fairness_n6_csv``. No other file moved. Each of
-those, and ``session_n64_jsonl`` (``SEEDED_TRIALS``), is also run with
+those, ``session_n64_jsonl`` and the two ``wide_seed`` files
+(``SEEDED_TRIALS``), is also run with
 ``--jobs 2``, and with ``--jobs 3`` on three CPUs (the caller and two
 workers, with unequal blocks where the trial count is not a multiple of
 three), against the same file, so the process-pool path is pinned to the
@@ -54,6 +60,10 @@ INVOCATIONS = {
     "uplink_n300": "uplink --n 300 --seed 5",
     "downlink_n257": "downlink --n 257 --seed 6",
     "session_n64_jsonl": "session --n 64 --seed 3 --trials 20 --format jsonl",
+    "fairness_n5_wide_seed_csv": (
+        "fairness --n 5 --seed 340282366920938463463374607431768211457 --trials 64 --format csv"
+    ),
+    "session_n3_wide_seed_jsonl": "session --n 3 --seed 4294967296 --trials 5 --format jsonl",
 }
 
 SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)

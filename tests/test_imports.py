@@ -6,9 +6,15 @@ member of the package's enums.
 
 No linter is a dependency, so this parses each module of ``src/entaccess``
 (the package's re-exporting ``__init__.py`` aside) with ``ast``.
+
+Also here: importing the package and its command line loads no
+``numpy.random``, which only a seeded draw needs.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,3 +252,18 @@ def test_detects_test_only_enum_members():
         "kinds = sorted(Kind)\n",
     ]
     assert unread_enum_members(definitions, readers) == ["Color.GREEN", "Color.BLUE"]
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # A fresh interpreter: this one has long since imported numpy.random.
+    code = (
+        "import sys\n"
+        "import entaccess, entaccess.cli, entaccess.session\n"
+        "print('numpy' in sys.modules, 'numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC.parent), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert done.stdout.split() == ["True", "False"]

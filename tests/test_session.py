@@ -495,6 +495,42 @@ class TestPoolResults:
         assert fairness_experiment(3, trials, 11, jobs=2) == fairness_experiment(3, trials, 11)
 
 
+class TestTrialContext:
+    """A slot's ``ProtocolError`` names the seed, the trial and the session-wide slot."""
+
+    def test_serial_slot_error(self, monkeypatch):
+        calls = []
+
+        def run_slot(*args):
+            calls.append(args)
+            if len(calls) == 4:  # trial 1's second slot
+                raise ProtocolError("ancilla readout named node 9")
+            return entaccess.protocol.run_slot(*args)
+
+        monkeypatch.setattr(entaccess.session, "run_slot", run_slot)
+        with pytest.raises(
+            ProtocolError, match=r"^seed 5, trial 1, slot 3: ancilla readout named node 9$"
+        ) as caught:
+            run_session(SessionConfig(n=3, seed=5, trials=4))
+        assert isinstance(caught.value.__cause__, ProtocolError)
+
+    def test_worker_slot_error_reaches_the_caller(self, two_cpus, monkeypatch):
+        caller = os.getpid()
+
+        def run_slot(*args):
+            if os.getpid() != caller:
+                raise ProtocolError("contention produced 2 winners")
+            return entaccess.protocol.run_slot(*args)
+
+        # Patched before the first parallel call, so the forked worker runs it too.
+        monkeypatch.setattr(entaccess.session, "run_slot", run_slot)
+        with pytest.raises(
+            ProtocolError, match=r"^seed 5, trial 8, slot 16: contention produced 2 winners$"
+        ):
+            run_session(SessionConfig(n=3, seed=5, trials=16), jobs=2)
+        assert not entaccess.session._pools
+
+
 class TestFairness:
     def test_two_nodes_within_three_sigma(self):
         result = fairness_experiment(2, 10_000, seed=0)

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 import dense_reference as ref
 from dense_states import basis_state, dense_state, marginal_distribution
+import entaccess.statevector
 from entaccess.circuits import LeaderAwareLayout, prepare_ghz, prepare_leader_aware
 from entaccess.statevector import (
     _BRANCH_EPS,
@@ -548,6 +549,86 @@ class TestRandomSource:
                 assert rng.bit() == (1 if float(scalar.random()) < 0.5 else 0)
             else:
                 assert rng.random() == float(scalar.random())
+
+
+def spawned_words(seed: int, trial: int) -> np.ndarray:
+    """numpy's own PCG64 seed words for trial ``trial`` of ``seed``: the reference."""
+    return np.random.SeedSequence(seed, spawn_key=(trial,)).generate_state(4, np.uint64)
+
+
+def block_words(seed: int, trials: list[int]) -> list[np.ndarray]:
+    """The seed words that each source of one block was seeded with."""
+    sources = RandomSource._for_trials([(seed, t) for t in trials])
+    return [rng._gen.bit_generator.seed_seq.generate_state(4, np.uint64) for rng in sources]
+
+
+# Seeds of 1, 2, 4, 5 and 7 words; a seed of w > 4 words moves the hash
+# constants trial words start from.
+WORD_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**128 - 1, 2**128, 2**200]
+# Trials of 1, 2 and 3 words.
+WORD_TRIALS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 1, 2**70]
+
+
+class TestTrialSeeds:
+    """``RandomSource._for_trials`` derives numpy's spawned seed words a block at a time."""
+
+    @pytest.mark.parametrize("seed", WORD_SEEDS)
+    def test_words_of_wide_seeds_and_trials(self, seed):
+        # One block of trials of mixed widths, and each trial as a block of one.
+        expected = [spawned_words(seed, t) for t in WORD_TRIALS]
+        assert all(map(np.array_equal, block_words(seed, WORD_TRIALS), expected))
+        for trial, words in zip(WORD_TRIALS, expected):
+            (got,) = block_words(seed, [trial])
+            assert np.array_equal(got, words)
+            own = RandomSource((seed, trial))._gen.bit_generator.seed_seq
+            assert np.array_equal(own.generate_state(4, np.uint64), words)
+
+    @pytest.mark.parametrize("size", [1, 2, 200])
+    @pytest.mark.parametrize("seed", [5, 2**40 + 3, 2**160 + 9])
+    def test_blocks_of_consecutive_trials(self, seed, size):
+        first = 1000
+        trials = list(range(first, first + size))
+        got = block_words(seed, trials)
+        assert len(got) == size
+        assert all(np.array_equal(w, spawned_words(seed, t)) for t, w in zip(trials, got))
+
+    def test_block_straddling_two_to_the_32(self):
+        trials = list(range(2**32 - 3, 2**32 + 3))  # one-word trials, then two-word ones
+        got = block_words(9, trials)
+        assert all(np.array_equal(w, spawned_words(9, t)) for t, w in zip(trials, got))
+
+    def test_blocks_past_the_chunk_size(self, monkeypatch):
+        monkeypatch.setattr(entaccess.statevector, "_SEED_CHUNK", 3)
+        trials = list(range(2**32 - 4, 2**32 + 4))
+        got = block_words(2**130, trials)
+        assert len(got) == 8
+        assert all(np.array_equal(w, spawned_words(2**130, t)) for t, w in zip(trials, got))
+
+    @given(st.integers(0, 2**300), st.integers(0, 2**100))
+    @settings(max_examples=200, deadline=None)
+    def test_any_seed_and_trial(self, seed, trial):
+        (got,) = block_words(seed, [trial])
+        assert np.array_equal(got, spawned_words(seed, trial))
+
+    def test_block_streams_are_the_pair_streams(self):
+        # Runs of one seed are blocks of their own; every source draws its pair's stream.
+        pairs = [(3, 5), (3, 6), (4, 0), (3, 7), (3, 2**33)]
+        sources = RandomSource._for_trials(pairs)
+        for pair, rng in zip(pairs, sources, strict=True):
+            scalar = np.random.default_rng(np.random.SeedSequence(pair[0], spawn_key=pair[1:]))
+            draws = _DRAW_BLOCK + 3
+            assert [rng.random() for _ in range(draws)] == scalar.random(draws).tolist()
+
+    def test_sources_are_made_one_at_a_time(self):
+        sources = RandomSource._for_trials([(1, t) for t in range(4)])
+        first = next(sources)
+        assert first.random() == RandomSource((1, 0)).random()
+        assert len(list(sources)) == 3
+
+    @pytest.mark.parametrize("trials", [[-1], [2**40, -1], [3, -2**40]])
+    def test_negative_trial_rejected(self, trials):
+        with pytest.raises(ValueError, match="non-negative"):
+            list(RandomSource._for_trials([(0, t) for t in trials]))
 
 
 class TestProductState:
