@@ -25,9 +25,10 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .statevector import _SQ2, StateVector, as_int
+from .statevector import _SQ2, MAX_DENSE_QUBITS, StateVector, as_int
 
 MAX_END_NODES = 1_000_000  # a sampled slot peaks near 0.6 kB per end-node: ~0.6 GB at the limit
+_MAX_LEADER_AWARE_BITS = 128 << MAX_DENSE_QUBITS  # a dense view's 256 MiB: n ~ 46,000 here
 
 
 def end_node_count(n: int) -> int:
@@ -70,7 +71,7 @@ class LeaderAwareLayout:
     m: int = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", as_int("n", self.n))
+        object.__setattr__(self, "n", end_node_count(self.n))
         object.__setattr__(self, "m", ancilla_count(self.n))
 
     @property
@@ -151,9 +152,16 @@ def prepare_leader_aware(n: int) -> StateVector:
 
     Built directly from its n-term support; ``leader_aware_circuit(n)``
     applied to W tensor |0...0> produces the same state (checked in tests).
+    Its n indices of n + m bits each grow as n^2, so ValueError, before
+    anything is built, once they would pass ``_MAX_LEADER_AWARE_BITS``.
     """
     layout = LeaderAwareLayout(n)
     total = layout.num_qubits
+    if layout.n * total > _MAX_LEADER_AWARE_BITS:
+        raise ValueError(
+            f"the leader-aware state of n={layout.n} end-nodes would hold {layout.n * total} "
+            f"index bits (n indices of n+m), over the limit of {_MAX_LEADER_AWARE_BITS}"
+        )
     amp = leader_aware_amplitude(layout.n)
     ancilla_bits = [1 << (total - 1 - q) for q in layout.ancilla_qubits]
     support = {}

@@ -224,7 +224,7 @@ class _Pool:
             self.shutdown(kill=True)
             raise
 
-    def map(self, work: Callable[[list], list[T]], blocks: list[list]) -> list[list[T]]:
+    def map(self, work: Callable[[range], list[T]], blocks: list[range]) -> list[list[T]]:
         """``work`` over ``blocks``, one per process: the lists in block order.
 
         Sends blocks 1..k to the workers first, then runs block 0 here, then
@@ -265,15 +265,14 @@ class _Pool:
 _pools: dict[int, tuple[int, _Pool]] = {}
 
 
-def _per_trial(
-    work: Callable[[list[tuple[int, int]]], list[T]], seed: int, trials: int, jobs: int
-) -> list[T]:
-    """``work`` over contiguous blocks of the trial seeds; its lists joined in trial order.
+def _per_trial(work: Callable[[range], list[T]], trials: int, jobs: int) -> list[T]:
+    """``work`` over contiguous blocks of ``range(trials)``; its lists joined in trial order.
 
-    Trial ``t`` gets the ``RandomSource`` seed ``(seed, t)``: the streams of
-    all trials of all seeds are independent, and the results do not depend
-    on ``jobs``. ``work(trial_seeds)`` runs a block of consecutive trials. One
-    block holds every trial unless ``jobs`` > 1 spreads them over
+    ``work(block)`` runs a ``range`` of consecutive trial numbers. Each
+    caller binds its seed into ``work``, and trial ``t`` draws from
+    ``RandomSource((seed, t))``: the streams of all trials of all seeds are
+    independent, and the results do not depend on ``jobs``. One block holds
+    every trial unless ``jobs`` > 1 spreads them over
     ``workers = min(jobs, os.cpu_count())`` processes, one block of
     ceil(trials / workers) trials each. The caller is one of them: it sends
     blocks 1..k down one pipe to each of ``workers - 1`` forked processes,
@@ -292,15 +291,14 @@ def _per_trial(
     jobs = as_int("jobs", jobs)
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    trial_seeds = [(seed, t) for t in range(trials)]
+    numbers = range(trials)
     workers = min(jobs, os.cpu_count() or 1)
     if workers == 1 or trials == 1:
-        return work(trial_seeds)
+        return work(numbers)
     # One block per process: trials cost about the same, so a further block
-    # would only add a round trip, and the bytes pickled do not depend on
-    # the blocks.
+    # would only add a round trip.
     size = -(-trials // workers)
-    blocks = [trial_seeds[i:i + size] for i in range(0, trials, size)]
+    blocks = [numbers[i:i + size] for i in range(0, trials, size)]
     pid = os.getpid()
     cached = _pools.get(pid)
     if cached is None or cached[0] != workers:
@@ -321,16 +319,14 @@ def _per_trial(
 SlotRow = tuple[dict, tuple]
 
 
-def _run_trials(
-    n: int, slots: tuple[SlotType, ...], trial_seeds: list[tuple[int, int]]
-) -> list[SlotRow]:
-    """The row of every slot of a block of consecutive trials, in slot order.
+def _run_trials(n: int, slots: tuple[SlotType, ...], seed: int, trials: range) -> list[SlotRow]:
+    """The row of every slot of a block of consecutive trials of ``seed``, in slot order.
 
     A ``ProtocolError`` from a slot is raised again with the seed, the trial
     and the slot's session-wide index in front of its message.
     """
     reports = []
-    for (seed, trial), rng in zip(trial_seeds, RandomSource._for_trials(trial_seeds)):
+    for trial, rng in zip(trials, RandomSource._for_trials(seed, trials)):
         for k, slot_type in enumerate(slots):
             try:
                 reports.append(run_slot(n, slot_type, None, rng))
@@ -339,7 +335,7 @@ def _run_trials(
                 raise ProtocolError(f"seed {seed}, trial {trial}, slot {index}: {exc}") from exc
     # The rows are built after the block's slots, not between them: there
     # they cost about 2 % more of an n=4 session.
-    first = trial_seeds[0][1] * len(slots)  # the session-wide index of the block's first slot
+    first = trials.start * len(slots)  # the session-wide index of the block's first slot
     return [
         (r.to_record(i), message_shape(r.messages)) for i, r in enumerate(reports, first)
     ]
@@ -352,7 +348,7 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
     trial order, so the output does not depend on the worker count.
     """
     rows = _per_trial(
-        partial(_run_trials, config.n, config.slots), config.seed, config.trials, jobs
+        partial(_run_trials, config.n, config.slots, config.seed), config.trials, jobs
     )
     return _aggregate(config, rows), [record for record, _ in rows]
 
@@ -415,29 +411,28 @@ class FairnessResult:
         }
 
 
-def _contention_winners(n: int, trial_seeds: list[tuple[int, int]]) -> list[int]:
-    return [sample_contention(n, rng)[0] for rng in RandomSource._for_trials(trial_seeds)]
+def _contention_winners(n: int, seed: int, trials: range) -> list[int]:
+    return [sample_contention(n, rng)[0] for rng in RandomSource._for_trials(seed, trials)]
 
 
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:
     """Repeated contention; chi-square of the winner histogram against uniform.
 
-    The histogram does not depend on ``jobs``. Each trial samples the W
-    outcomes in closed form (``sample_contention``), n draws from its own
-    stream and no ancilla readout, as ``contend`` on a fresh
-    ``prepare_leader_aware(n)`` would, without building that state.
+    ``n``, ``trials`` and ``seed`` are checked as ``SessionConfig`` checks
+    them, then ``n`` must be at least 2. The histogram does not depend on
+    ``jobs``. Each trial samples the W outcomes in closed form
+    (``sample_contention``), n draws from its own stream and no ancilla
+    readout, as ``contend`` on a fresh ``prepare_leader_aware(n)`` would,
+    without building that state.
     """
-    n = end_node_count(n)
-    if n < 2:
+    config = SessionConfig(n, seed, trials=trials)
+    if config.n < 2:
         raise ValueError("fairness needs at least two contending end-nodes")
-    trials = as_int("trials", trials)
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    seed = RandomSource.check_seed(seed)
-    histogram = {node: 0 for node in range(1, n + 1)}
-    for winner in _per_trial(partial(_contention_winners, n), seed, trials, jobs):
+    histogram = {node: 0 for node in range(1, config.n + 1)}
+    work = partial(_contention_winners, config.n, config.seed)
+    for winner in _per_trial(work, config.trials, jobs):
         histogram[winner] += 1
-    return FairnessResult(n, trials, seed, histogram)
+    return FairnessResult(config.n, config.trials, config.seed, histogram)
 
 
 @dataclass(frozen=True)

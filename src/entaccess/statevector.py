@@ -38,9 +38,9 @@ import operator
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, repeat
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -204,17 +204,12 @@ class RandomSource:
         self._draw_from(gen)
 
     @classmethod
-    def _for_trials(cls, trial_seeds: Iterable[tuple[int, int]]) -> Iterator[RandomSource]:
-        """``map(RandomSource, trial_seeds)``: the same sources, one at a time.
-
-        Each run of consecutive pairs with one seed is seeded as one block by
-        ``_trial_generators``. Trials are ints; a negative one raises ValueError.
-        """
-        for seed, run in groupby(trial_seeds, operator.itemgetter(0)):
-            for gen in _trial_generators(cls.check_seed(seed), [t for _, t in run]):
-                rng = object.__new__(cls)
-                rng._draw_from(gen)
-                yield rng
+    def _for_trials(cls, seed: int, trials: Sequence[int]) -> Iterator[RandomSource]:
+        """``RandomSource((seed, t))`` for each t of ``trials``, made in turn from one block."""
+        for gen in _trial_generators(cls.check_seed(seed), trials):
+            rng = object.__new__(cls)
+            rng._draw_from(gen)
+            yield rng
 
     def _draw_from(self, gen: np.random.Generator) -> None:
         self._gen = gen
@@ -299,7 +294,7 @@ def _numpy_random():
     return SeedSequence, generator
 
 
-def _trial_generators(seed: int, trials: list[int]) -> Iterator[np.random.Generator]:
+def _trial_generators(seed: int, trials: Sequence[int]) -> Iterator[np.random.Generator]:
     """``default_rng(SeedSequence(seed, spawn_key=(t,)))`` for each t of ``trials``, in turn.
 
     Draw for draw the same generators, but ``SeedSequence(seed)`` is built
@@ -316,7 +311,7 @@ def _trial_generators(seed: int, trials: list[int]) -> Iterator[np.random.Genera
         yield from map(generator, _trial_words(pool, steps, trials[start:start + _SEED_CHUNK]))
 
 
-def _trial_words(pool: np.ndarray, steps: int, trials: list[int]) -> np.ndarray:
+def _trial_words(pool: np.ndarray, steps: int, trials: Sequence[int]) -> np.ndarray:
     """Row i is ``SeedSequence(seed, spawn_key=(trials[i],)).generate_state(4, np.uint64)``.
 
     ``pool`` is ``SeedSequence(seed).pool`` twice round, its four lanes

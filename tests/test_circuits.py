@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from dense_states import basis_state
+from entaccess import circuits
 from entaccess.circuits import (
     LeaderAwareLayout,
     MAX_END_NODES,
@@ -63,11 +65,14 @@ class TestLayout:
             assert ancilla_count(2**k) == k
             assert ancilla_count(2**k + 1) == k + 1
 
-    def test_total_qubits_roundtrip_past_float_precision(self):
-        n = 2**60 + 1
-        layout = LeaderAwareLayout(n)
-        assert layout.m == 61
-        assert LeaderAwareLayout.from_total_qubits(layout.num_qubits).n == n
+    def test_n_over_the_limit_rejected(self):
+        top = LeaderAwareLayout(MAX_END_NODES)
+        assert LeaderAwareLayout.from_total_qubits(top.num_qubits) == top
+        for n in (MAX_END_NODES + 1, 2**60 + 1):
+            with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):
+                LeaderAwareLayout(n)
+            with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):
+                LeaderAwareLayout.from_total_qubits(n + ancilla_count(n))
 
     def test_impossible_total_rejected(self):
         with pytest.raises(ValueError, match="no end-node count"):
@@ -177,6 +182,29 @@ class TestPrepareLeaderAware:
 
     def test_single_node(self):
         np.testing.assert_allclose(prepare_leader_aware(1).amplitudes, [0, 1])
+
+    @pytest.mark.parametrize("n", [46_333, MAX_END_NODES])
+    def test_refuses_a_support_past_the_bit_budget(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n={n} end-nodes would hold"):
+                prepare_leader_aware(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20  # refused before its indices are built
+
+    def test_bit_budget_is_n_times_n_plus_m(self, monkeypatch):
+        # the real budget, 2^31 bits, ends at n = 46,332
+        budget = circuits._MAX_LEADER_AWARE_BITS
+        assert budget == 2**31
+        assert 46_332 * LeaderAwareLayout(46_332).num_qubits <= budget
+        assert 46_333 * LeaderAwareLayout(46_333).num_qubits > budget
+        # n=4 holds 4 indices of 6 bits, n=5 holds 5 of 8
+        monkeypatch.setattr(circuits, "_MAX_LEADER_AWARE_BITS", 24)
+        assert prepare_leader_aware(4).num_qubits == 6
+        with pytest.raises(ValueError, match="would hold 40 index bits"):
+            prepare_leader_aware(5)
 
     @pytest.mark.parametrize("n", range(2, 11))
     def test_amplitude_pattern(self, n):

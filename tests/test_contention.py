@@ -196,8 +196,18 @@ class TestEndNodeLimit:
             lambda n: sample_contention(n, RandomSource(0)),
             lambda n: SessionConfig(n=n, seed=0),
             lambda n: fairness_experiment(n, 10, 0),
+            prepare_leader_aware,
+            circuits.leader_aware_circuit,
         ],
-        ids=["run_slot", "run_contention", "sample_contention", "session", "fairness"],
+        ids=[
+            "run_slot",
+            "run_contention",
+            "sample_contention",
+            "session",
+            "fairness",
+            "prepare_leader_aware",
+            "leader_aware_circuit",
+        ],
     )
     def test_rejects_n_over_the_limit(self, call):
         with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):

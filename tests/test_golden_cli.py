@@ -29,7 +29,10 @@ those, ``session_n64_jsonl`` and the two ``wide_seed`` files
 workers, with unequal blocks where the trial count is not a multiple of
 three), against the same file, so the process-pool path is pinned to the
 serial output. To regenerate a file, run the invocation with
-``python -m entaccess`` and redirect stdout.
+``python -m entaccess`` and redirect stdout. The CI workflow's
+console-script step diffs the same invocations through the installed
+``entaccess`` script, and a test here keeps its list and ``INVOCATIONS`` in
+step.
 """
 
 import os
@@ -67,6 +70,16 @@ INVOCATIONS = {
 }
 
 SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)
+
+WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
+# The workflow's console-script step diffs every invocation but this one, whose
+# max_deviation is float noise that only a value comparison forgives.
+CI_SKIPPED = {"anonymity_n4"}
+# A workflow line that runs a golden invocation under another spelling.
+CI_ALIASES = {
+    "session --n 4 --seed 7 --trials 50 --slots downlink,uplink --format jsonl": "session_n4_du",
+}
+_CI_DIFF = re.compile(r"entaccess (.+?)(?: --jobs \d+)? \| diff - tests/golden/(\w+)\.txt")
 
 _DEVIATION = re.compile(r'"max_deviation": ([^,}]+)')
 
@@ -109,3 +122,30 @@ def three_cpus(monkeypatch):
 def test_three_process_pool_matches_golden_output(capsys, three_cpus, name):
     out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "3"])
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def _workflow_step(name: str) -> list[str]:
+    """The lines of the workflow step called ``name``, up to the next step."""
+    lines = WORKFLOW.read_text().splitlines()
+    start = lines.index(f"      - name: {name}") + 1
+    end = next(
+        (i for i in range(start, len(lines)) if lines[i].lstrip().startswith("- name:")),
+        len(lines),
+    )
+    return lines[start:end]
+
+
+def test_workflow_diffs_every_golden_invocation():
+    commands = [
+        line.strip()
+        for line in _workflow_step("Console script smoke check")
+        if line.strip().startswith("entaccess ")
+    ]
+    diffed = set()
+    for command in commands:
+        match = _CI_DIFF.fullmatch(command)
+        assert match, f"not a golden diff: {command}"
+        argv, name = match.groups()
+        assert argv == INVOCATIONS.get(name) or CI_ALIASES.get(argv) == name, command
+        diffed.add(name)
+    assert diffed == set(INVOCATIONS) - CI_SKIPPED

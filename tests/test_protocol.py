@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from dense_states import basis_state, marginal_distribution
 from entaccess import extraction, protocol, statevector
 from entaccess.circuits import ancilla_count, prepare_leader_aware
-from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS
+from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS, loser_parity
 from entaccess.protocol import (
     ClassicalMessage,
     ContentionOutcome,
@@ -39,6 +39,7 @@ from entaccess.session import (
     run_session,
 )
 from entaccess.statevector import (
+    _BRANCH_EPS,
     Basis,
     HADAMARD,
     RandomSource,
@@ -526,6 +527,94 @@ class TestImpossibleBranchFlip:
     def test_never_fires_in_a_fairness_run(self, flip_spy):
         fairness_experiment(8, 2000, seed=5)
         assert flip_spy == {"draws": 8 * 2000, "flips": 0}
+
+
+class FixedBits:
+    """The source of a scripted slot: every ``bit()`` reads 0, and no uniform is drawn."""
+
+    def bit(self):
+        return 0
+
+    def random(self):
+        raise AssertionError("a scripted slot draws its outcomes from the script")
+
+
+class Script:
+    """A ``_sample`` whose outcomes are given: ``prefix``, then the likelier one.
+
+    It records each call's (p0, outcome). An outcome whose branch weighs at
+    most ``_BRANCH_EPS`` is never taken, as ``_sample`` never samples it.
+    """
+
+    def __init__(self, prefix):
+        self.prefix = prefix
+        self.steps = []
+
+    def __call__(self, p0, rng):
+        k = len(self.steps)
+        outcome = self.prefix[k] if k < len(self.prefix) else int(p0 <= _BRANCH_EPS)
+        self.steps.append((p0, outcome))
+        return outcome
+
+
+def wire_key(report, slot_type):
+    """(winner, loser bits, q*, g*, parity) of a slot, all but the winner read off the wire."""
+    winner = report.outcome.winner
+    reports = {m.sender: m.payload for m in report.messages if m.payload.KIND == "report"}
+    losers = tuple(reports[node].g for node in sorted(reports) if node != winner)
+    if slot_type is SlotType.UPLINK:
+        q_star, g_star = reports[winner].q, reports[winner].g
+        parity = loser_parity(losers)
+    else:
+        (broadcast,) = (m.payload for m in report.messages if m.payload.KIND == "broadcast")
+        q_star, g_star, parity = broadcast.q_star, broadcast.g0, broadcast.parity
+    assert parity == report.parity
+    return winner, losers, q_star, g_star, parity
+
+
+def sampled_branch_law(n, slot_type, payload, monkeypatch):
+    """The exact law of ``wire_key`` over every path of the sampled slot.
+
+    ``_sample`` is scripted, so a depth-first search runs each path once:
+    after a run, every call past the script that took outcome 0 while 1
+    still weighs more than ``_BRANCH_EPS`` opens the path that takes 1
+    there. A path's probability is the product of its p0 and 1 - p0 factors.
+    """
+    law = {}
+    pending = [()]
+    while pending:
+        script = Script(pending.pop())
+        for module in (statevector, protocol, extraction):
+            monkeypatch.setattr(module, "_sample", script)
+        report = run_slot(n, slot_type, [payload] * n, FixedBits())
+        taken = [outcome for _, outcome in script.steps]
+        for k in range(len(script.prefix), len(taken)):
+            if not taken[k] and 1.0 - script.steps[k][0] > _BRANCH_EPS:
+                pending.append((*taken[:k], 1))
+        probability = math.prod(1.0 - p0 if o else p0 for p0, o in script.steps)
+        key = wire_key(report, slot_type)
+        law[key] = law.get(key, 0.0) + probability
+    return law
+
+
+class TestSampledBranchLaw:
+    """The sampled slot's exact law of outcomes is the oracle's, to 1e-12."""
+
+    @pytest.mark.parametrize("slot_type", list(SlotType))
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_matches_the_oracle(self, n, slot_type, monkeypatch):
+        payload = StateVector.qubit(0.6, 0.8j)
+        oracle = {}
+        for b in enumerate_slot_branches(n, slot_type, payload):
+            losers = tuple(b.loser_outcomes[node] for node in sorted(b.loser_outcomes))
+            key = b.winner, losers, b.q_star, b.g_star, b.parity
+            oracle[key] = oracle.get(key, 0.0) + b.probability
+        law = sampled_branch_law(n, slot_type, payload, monkeypatch)
+        assert set(law) == set(oracle)
+        assert len(law) == n * 2 ** (n + 1)  # a winner, n-1 loser bits, q* and g*
+        assert max(abs(law[key] - oracle[key]) for key in law) <= 1e-12
+        assert abs(math.fsum(law.values()) - 1.0) <= 1e-12
+        assert abs(math.fsum(oracle.values()) - 1.0) <= 1e-12
 
 
 class TestDeliveredFidelity:

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -280,23 +281,28 @@ def test_fairness_numpy_seed_is_json_ready():
     assert json.dumps(result.to_dict()) == json.dumps(fairness_experiment(3, 8, 1).to_dict())
 
 
-def _worker_pid(trial_seeds: list) -> list[int]:
+def _worker_pid(trials: range) -> list[int]:
     """The pid of the process running each trial of the block."""
-    return [os.getpid()] * len(trial_seeds)
+    return [os.getpid()] * len(trials)
 
 
-def _raise_in_worker(trial_seeds: list) -> list:
+def _block(trials: range) -> list[range]:
+    """The block each trial of the block ran in."""
+    return [trials] * len(trials)
+
+
+def _raise_in_worker(trials: range) -> list:
     """Fails every block but the caller's, which starts at trial 0."""
-    if trial_seeds[0][1]:
-        raise ProtocolError(f"block from trial {trial_seeds[0][1]} failed")
-    return list(trial_seeds)
+    if trials.start:
+        raise ProtocolError(f"block from trial {trials.start} failed")
+    return list(trials)
 
 
-def _raise_in_caller(exc_type: type, trial_seeds: list) -> list:
+def _raise_in_caller(exc_type: type, trials: range) -> list:
     """Fails the caller's block, the one that starts at trial 0."""
-    if not trial_seeds[0][1]:
+    if not trials.start:
         raise exc_type("the caller's block failed")
-    return list(trial_seeds)
+    return list(trials)
 
 
 def _exited_orphan(pid: int) -> bool:
@@ -345,11 +351,11 @@ _POOL_OWNER = """
 import os, sys, time
 import entaccess.session
 
-def pid(trial_seeds):
-    return [os.getpid()] * len(trial_seeds)
+def pid(trials):
+    return [os.getpid()] * len(trials)
 
 os.cpu_count = lambda: 2
-pids = set(entaccess.session._per_trial(pid, 0, 4, 2)) - {os.getpid()}
+pids = set(entaccess.session._per_trial(pid, 4, 2)) - {os.getpid()}
 print(*pids, flush=True)
 if sys.argv[1] == "wait":
     time.sleep(60)
@@ -359,16 +365,22 @@ if sys.argv[1] == "wait":
 class TestWorkerPool:
     @pytest.mark.parametrize("trials, block", [(16, 8), (7, 4)])
     def test_one_contiguous_block_per_worker(self, two_cpus, trials, block):
-        pids = entaccess.session._per_trial(_worker_pid, 0, trials, 2)
+        pids = entaccess.session._per_trial(_worker_pid, trials, 2)
         caller, worker = pids[0], pids[-1]
         assert caller == os.getpid()
         assert worker != caller
         assert pids == [caller] * block + [worker] * (trials - block)
 
+    @pytest.mark.parametrize("jobs, blocks", [(1, [range(7)]), (2, [range(4), range(4, 7)])])
+    def test_work_runs_ranges_of_trial_numbers(self, two_cpus, jobs, blocks):
+        got = entaccess.session._per_trial(_block, 7, jobs)
+        assert list(dict.fromkeys(got)) == blocks
+        assert all(type(block) is range for block in got)
+
     def test_successive_calls_reuse_the_workers(self, two_cpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        first = entaccess.session._per_trial(_worker_pid, 0, 24, 3)
-        second = entaccess.session._per_trial(_worker_pid, 1, 24, 3)
+        first = entaccess.session._per_trial(_worker_pid, 24, 3)
+        second = entaccess.session._per_trial(_worker_pid, 24, 3)
         assert first[:8] == [os.getpid()] * 8
         workers = set(first[8:])
         assert len(workers) == 2 and os.getpid() not in workers
@@ -376,11 +388,11 @@ class TestWorkerPool:
         assert second == first
 
     def test_new_worker_count_replaces_the_pool(self, two_cpus, monkeypatch):
-        old = set(entaccess.session._per_trial(_worker_pid, 0, 16, 2)) - {os.getpid()}
+        old = set(entaccess.session._per_trial(_worker_pid, 16, 2)) - {os.getpid()}
         # Held here, so that garbage collection cannot be what stops its workers.
         old_pool = entaccess.session._pools[os.getpid()][1]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        new = set(entaccess.session._per_trial(_worker_pid, 0, 24, 3)) - {os.getpid()}
+        new = set(entaccess.session._per_trial(_worker_pid, 24, 3)) - {os.getpid()}
         assert entaccess.session._pools[os.getpid()][1] is not old_pool
         assert len(old) == 1 and len(new) == 2
         assert not old & new
@@ -389,16 +401,16 @@ class TestWorkerPool:
                 os.kill(pid, 0)
 
     def test_dead_worker_fails_one_call_then_pool_restarts(self, two_cpus):
-        victim = entaccess.session._per_trial(_worker_pid, 0, 16, 2)[-1]
+        victim = entaccess.session._per_trial(_worker_pid, 16, 2)[-1]
         os.kill(victim, signal.SIGKILL)
         with pytest.raises(BrokenProcessPool):
-            entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+            entaccess.session._per_trial(_worker_pid, 16, 2)
         assert not entaccess.session._pools
         _wait_reaped(victim)
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
 
     def test_pool_of_another_pid_is_not_used(self, two_cpus, monkeypatch):
-        entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        entaccess.session._per_trial(_worker_pid, 16, 2)
         inherited = entaccess.session._pools[os.getpid()][1]
         # Only the session module sees the new pid: multiprocessing, which
         # checks parent pids when it joins workers, must still see the real one.
@@ -408,7 +420,7 @@ class TestWorkerPool:
         assert entaccess.session._pools[-1][1] is not inherited
 
     def test_workers_capped_at_cpu_count(self, two_cpus):
-        pids = set(entaccess.session._per_trial(_worker_pid, 0, 32, 64))
+        pids = set(entaccess.session._per_trial(_worker_pid, 32, 64))
         assert len(pids) == 2 and os.getpid() in pids
         workers, pool = entaccess.session._pools[os.getpid()]
         assert workers == 2
@@ -416,27 +428,27 @@ class TestWorkerPool:
 
     def test_unknown_cpu_count_runs_serially(self, two_cpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert set(entaccess.session._per_trial(_worker_pid, 0, 4, 64)) == {os.getpid()}
+        assert set(entaccess.session._per_trial(_worker_pid, 4, 64)) == {os.getpid()}
         assert not entaccess.session._pools
 
     def test_worker_exception_reaches_the_caller(self, two_cpus):
         with pytest.raises(ProtocolError, match="^block from trial 8 failed$"):
-            entaccess.session._per_trial(_raise_in_worker, 0, 16, 2)
+            entaccess.session._per_trial(_raise_in_worker, 16, 2)
         assert not entaccess.session._pools
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
 
     @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
     def test_caller_exception_discards_the_pool(self, two_cpus, exc_type):
-        entaccess.session._per_trial(_worker_pid, 0, 16, 2)
+        entaccess.session._per_trial(_worker_pid, 16, 2)
         old_pool = entaccess.session._pools[os.getpid()][1]
         with pytest.raises(exc_type, match="the caller's block failed"):
-            entaccess.session._per_trial(partial(_raise_in_caller, exc_type), 0, 16, 2)
+            entaccess.session._per_trial(partial(_raise_in_caller, exc_type), 16, 2)
         assert not entaccess.session._pools
         for proc in old_pool.procs:
             _wait_reaped(proc.pid)
         # A kept pool would hand this call the failed call's reply.
-        work = partial(entaccess.session._run_trials, 3, DEFAULT_SLOT_PATTERN)
-        assert entaccess.session._per_trial(work, 5, 16, 2) == work([(5, t) for t in range(16)])
+        work = partial(entaccess.session._run_trials, 3, DEFAULT_SLOT_PATTERN, 5)
+        assert entaccess.session._per_trial(work, 16, 2) == work(range(16))
 
     @pytest.mark.parametrize("end", ["exit", "wait"])
     def test_no_worker_outlives_its_caller(self, end):
@@ -475,7 +487,7 @@ class TestPoolResults:
         ids=["du", "u", "dd"],
     )
     def test_trial_rows_hold_builtins_only(self, slots):
-        rows = entaccess.session._run_trials(4, slots, [(3, 5), (3, 6)])
+        rows = entaccess.session._run_trials(4, slots, 3, range(5, 7))
         assert set(_types_in(rows)) <= _BUILTINS
         assert b"entaccess" not in pickle.dumps(rows)
         first = 5 * len(slots)  # trial 5's first slot in the session
@@ -483,7 +495,7 @@ class TestPoolResults:
         assert indices == list(range(first, first + 2 * len(slots)))
 
     def test_fairness_trials_are_ints(self):
-        winners = entaccess.session._contention_winners(5, [(3, 5), (3, 6)])
+        winners = entaccess.session._contention_winners(5, 3, range(5, 7))
         assert [type(w) for w in winners] == [int, int]
 
     @pytest.mark.parametrize("trials", [1, 2, 3, 7])
@@ -547,8 +559,19 @@ class TestFairness:
             fairness_experiment(4, 0, seed=0)
 
     def test_single_node_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^fairness needs at least two contending end-nodes$"):
             fairness_experiment(1, 100, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, trials, seed",
+        [(0, 10, 0), (2.5, 10, 0), (4, 0, 0), (4, "10", 0), (4, 10, -1), (4, 10, 1.0)],
+        ids=["n", "n-type", "trials", "trials-type", "seed", "seed-type"],
+    )
+    def test_input_checks_are_the_session_checks(self, n, trials, seed):
+        with pytest.raises(ValueError) as expected:
+            SessionConfig(n=n, seed=seed, trials=trials)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            fairness_experiment(n, trials, seed)
 
     @pytest.mark.parametrize("n", [2, 3, 6])
     def test_chi_square_read_from_histogram(self, n):
@@ -639,11 +662,13 @@ class TestChiSquare:
 
 
 def test_every_trial_of_every_seed_has_its_own_stream():
-    def first_draw(trial_seeds):
-        return [RandomSource(s).random() for s in trial_seeds]
+    def first_draw(seed, trials):
+        return [RandomSource((seed, t)).random() for t in trials]
 
     first_draws = [
-        draw for seed in range(4) for draw in entaccess.session._per_trial(first_draw, seed, 64, 1)
+        draw
+        for seed in range(4)
+        for draw in entaccess.session._per_trial(partial(first_draw, seed), 64, 1)
     ]
     assert len(set(first_draws)) == len(first_draws)
 

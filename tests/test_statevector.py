@@ -558,7 +558,7 @@ def spawned_words(seed: int, trial: int) -> np.ndarray:
 
 def block_words(seed: int, trials: list[int]) -> list[np.ndarray]:
     """The seed words that each source of one block was seeded with."""
-    sources = RandomSource._for_trials([(seed, t) for t in trials])
+    sources = RandomSource._for_trials(seed, trials)
     return [rng._gen.bit_generator.seed_seq.generate_state(4, np.uint64) for rng in sources]
 
 
@@ -611,16 +611,16 @@ class TestTrialSeeds:
         assert np.array_equal(got, spawned_words(seed, trial))
 
     def test_block_streams_are_the_pair_streams(self):
-        # Runs of one seed are blocks of their own; every source draws its pair's stream.
-        pairs = [(3, 5), (3, 6), (4, 0), (3, 7), (3, 2**33)]
-        sources = RandomSource._for_trials(pairs)
-        for pair, rng in zip(pairs, sources, strict=True):
-            scalar = np.random.default_rng(np.random.SeedSequence(pair[0], spawn_key=pair[1:]))
+        # Every source of one seed's block draws its pair's stream.
+        trials = [5, 6, 0, 7, 2**33]
+        sources = RandomSource._for_trials(3, trials)
+        for trial, rng in zip(trials, sources, strict=True):
+            scalar = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(trial,)))
             draws = _DRAW_BLOCK + 3
             assert [rng.random() for _ in range(draws)] == scalar.random(draws).tolist()
 
     def test_sources_are_made_one_at_a_time(self):
-        sources = RandomSource._for_trials([(1, t) for t in range(4)])
+        sources = RandomSource._for_trials(1, range(4))
         first = next(sources)
         assert first.random() == RandomSource((1, 0)).random()
         assert len(list(sources)) == 3
@@ -628,7 +628,7 @@ class TestTrialSeeds:
     @pytest.mark.parametrize("trials", [[-1], [2**40, -1], [3, -2**40]])
     def test_negative_trial_rejected(self, trials):
         with pytest.raises(ValueError, match="non-negative"):
-            list(RandomSource._for_trials([(0, t) for t in trials]))
+            list(RandomSource._for_trials(0, trials))
 
 
 class TestProductState:
