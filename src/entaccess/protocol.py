@@ -9,7 +9,9 @@ orchestrator). A slot runs:
    reads 1 wins the slot, and the ancillas collapse to its codeword so the
    orchestrator learns the winner without any classical signaling. A
    sampled slot draws these outcomes in closed form (``sample_contention``,
-   ``sample_ancillas``), without building the leader-aware state;
+   ``sample_ancillas``), without building the leader-aware state, and
+   ``winners`` decides a block of fairness trials at once by the same
+   thresholds (``contention_thresholds``);
 2. extraction: losers vacate the GHZ state with Hadamard-basis
    measurements, leaving a Bell pair between the orchestrator and winner;
 3. teleportation: the slot's transmitter (winner in uplink, orchestrator in
@@ -28,10 +30,13 @@ the only definition of that view. A slot's type and winner fix its pair,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
 from typing import Callable, Sequence
+
+import numpy as np
 
 from .circuits import (
     LeaderAwareLayout,
@@ -208,10 +213,10 @@ def slot_messages(
 
 def one_hot_winner(w_outcomes: Sequence[int]) -> int:
     """The end-node whose W bit reads 1; ``ProtocolError`` unless exactly one does."""
-    winners = [i + 1 for i, w in enumerate(w_outcomes) if w == 1]
-    if len(winners) != 1:
-        raise ProtocolError(f"contention produced {len(winners)} winners: {tuple(w_outcomes)}")
-    return winners[0]
+    won = [i + 1 for i, w in enumerate(w_outcomes) if w == 1]
+    if len(won) != 1:
+        raise ProtocolError(f"contention produced {len(won)} winners: {tuple(w_outcomes)}")
+    return won[0]
 
 
 def contend(
@@ -235,34 +240,65 @@ def read_ancillas(
     return measure_sequence(state, layout.ancilla_qubits, rng)
 
 
-def sample_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...]]:
-    """``contend(prepare_leader_aware(n), rng)`` in closed form: (winner, W outcomes).
+# Built once per n, which a session or fairness run keeps: rebuilt every slot,
+# the tuple would cost a slot more than the loop it feeds. Typed, so that 4.0
+# is checked, not served 4's entry.
+@functools.lru_cache(maxsize=1, typed=True)
+def contention_thresholds(n: int) -> tuple[float, ...]:
+    """The p0 of each W draw while no node has won: the draw for W qubit j
+    (node j+1) elects it unless it falls below ``p0[j]``.
 
     The leader-aware support is n terms of equal weight, and its W block is
     one-hot, so ``measure_sequence``'s walk over it is fixed by integers and
     one prefix-sum list of the n weights: sorted by W bits, node k's term sits
-    at n - k. Until a node has won, the draw for W qubit j (node j+1)
-    compares with the weight of nodes j+2..n over that of nodes j+1..n; after
-    it only the winner's term is left, so each draw compares with 1.0 and
-    reads 0. Every draw takes the same floats and checks as that walk, so
-    the two agree bit for bit (pinned in tests), without a state or an
-    (n+m)-bit index.
+    at n - k. ``p0[j]`` is the weight of nodes j+2..n over that of nodes
+    j+1..n, the same floats that walk compares with (pinned in tests).
+
+    Each p0 is checked here, once: the last is 0.0, so some node wins, and
+    every other leaves both branches above ``_BRANCH_EPS``. So ``_sample``'s
+    impossible-branch flip never moves a draw u in [0, 1), and ``u >= p0[j]``
+    is exactly its outcome.
     """
     n = end_node_count(n)
     weight = abs(leader_aware_amplitude(n)) ** 2
     cum = list(accumulate([weight] * n, initial=0.0))
-    outcomes = [0] * n
-    for j in range(n):  # the last node's p0 is 0.0, so some node wins
-        alive, rest = cum[n - j], cum[n - j - 1]  # nodes j+1..n, and j+2..n
-        if _sample(rest / alive, rng):
-            p1 = (alive - rest) / alive
-            if p1 <= _BRANCH_EPS:
-                raise _zero_branch(j, 1, p1)
+    thresholds = tuple(cum[n - j - 1] / cum[n - j] for j in range(n))
+    for j, p0 in enumerate(thresholds):
+        if 0.0 < p0 <= _BRANCH_EPS:
+            raise _zero_branch(j, 0, p0)
+        if 1.0 - p0 <= _BRANCH_EPS:
+            raise _zero_branch(j, 1, 1.0 - p0)
+    return thresholds
+
+
+def sample_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...]]:
+    """``contend(prepare_leader_aware(n), rng)`` in closed form: (winner, W outcomes).
+
+    Until a node has won, draw j is sampled by ``_sample`` against
+    ``contention_thresholds(n)[j]``; after it only the winner's term is left,
+    so each draw compares with 1.0 and reads 0. Every draw takes the same
+    floats and checks as ``measure_sequence``'s walk, so the two agree bit for
+    bit (pinned in tests), without a state or an (n+m)-bit index.
+    """
+    thresholds = contention_thresholds(n)
+    outcomes = [0] * len(thresholds)
+    for j, p0 in enumerate(thresholds):  # the last p0 is 0.0, so some node wins
+        if _sample(p0, rng):
             outcomes[j] = 1
             break
-    for _ in range(j + 1, n):
+    for _ in range(j + 1, len(thresholds)):
         _sample(1.0, rng)  # reads 0: the rule never samples a branch of weight 0.0
     return one_hot_winner(outcomes), tuple(outcomes)
+
+
+def winners(n: int, uniforms: np.ndarray) -> np.ndarray:
+    """The winner of each row of ``uniforms``, n W draws in [0, 1) to a row.
+
+    A row elects 1 + the first column j where its draw is at least
+    ``contention_thresholds(n)[j]``: the winner ``sample_contention`` elects
+    from the same n draws.
+    """
+    return (uniforms >= np.array(contention_thresholds(n))).argmax(axis=-1) + 1
 
 
 def sample_ancillas(winner: int, n: int, rng: RandomSource) -> tuple[int, ...]:

@@ -39,6 +39,8 @@ from functools import partial
 from multiprocessing.connection import Connection
 from typing import Callable, TypeVar
 
+import numpy as np
+
 from .circuits import LeaderAwareLayout, end_node_count, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence, loser_parity
 from .protocol import (
@@ -51,15 +53,16 @@ from .protocol import (
     message_shape,
     one_hot_winner,
     run_slot,
-    sample_contention,
     slot_messages,
     teleport_receive,
     teleport_rotate,
+    winners,
 )
 from .statevector import (
     Basis,
     RandomSource,
     StateVector,
+    _trial_generators,
     as_int,
     enumerate_branches,
     tensor_product,
@@ -75,6 +78,9 @@ _PROBE_PAYLOAD = StateVector.qubit(0.6, 0.8j)
 
 # Seeds collect_traffic_shapes scans for every winner to appear.
 _TRAFFIC_MAX_SEEDS = 512
+
+# Uniforms one block of fairness trials holds: a row of n per trial, at least one row.
+_WINNER_BLOCK = 1 << 16
 
 # Largest n the exhaustive branch oracle walks: its branches, time and memory
 # grow about 2.2x per end-node (98,304 branches and 68 MB at n=12).
@@ -412,7 +418,22 @@ class FairnessResult:
 
 
 def _contention_winners(n: int, seed: int, trials: range) -> list[int]:
-    return [sample_contention(n, rng)[0] for rng in RandomSource._for_trials(seed, trials)]
+    """The winner of each trial of a block of consecutive trials of ``seed``.
+
+    A trial's n W draws are the first n uniforms of its ``RandomSource((seed,
+    t))`` stream, drawn straight from its generator into one row of a matrix
+    of at most ``_WINNER_BLOCK`` uniforms; ``winners`` then decides every row
+    of the matrix in one comparison.
+    """
+    generators = _trial_generators(seed, trials)
+    draws = np.empty((max(1, min(len(trials), _WINNER_BLOCK // n)), n))
+    found = []
+    for start in range(0, len(trials), len(draws)):
+        rows = draws[:len(trials) - start]
+        for row, gen in zip(rows, generators):
+            gen.random(out=row)
+        found += winners(n, rows).tolist()
+    return found
 
 
 def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> FairnessResult:
@@ -420,10 +441,11 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
 
     ``n``, ``trials`` and ``seed`` are checked as ``SessionConfig`` checks
     them, then ``n`` must be at least 2. The histogram does not depend on
-    ``jobs``. Each trial samples the W outcomes in closed form
-    (``sample_contention``), n draws from its own stream and no ancilla
-    readout, as ``contend`` on a fresh ``prepare_leader_aware(n)`` would,
-    without building that state.
+    ``jobs``. Each trial's winner is the one ``sample_contention`` elects
+    from the first n draws of its own stream, with no ancilla readout, as
+    ``contend`` on a fresh ``prepare_leader_aware(n)`` would, without
+    building that state; ``_contention_winners`` decides a block of trials
+    at once.
     """
     config = SessionConfig(n, seed, trials=trials)
     if config.n < 2:

@@ -300,8 +300,12 @@ def _trial_generators(seed: int, trials: Sequence[int]) -> Iterator[np.random.Ge
     Draw for draw the same generators, but ``SeedSequence(seed)`` is built
     once, the PCG64 seed words of ``_SEED_CHUNK`` trials at a time come from
     one pass of ``_trial_words``, and each generator is made when it is
-    reached.
+    reached. Each trial must be a non-negative integer, as ``check_seed``
+    checks; a ``range`` holds only integers, and its negative ones fail in
+    ``_trial_words``.
     """
+    if not isinstance(trials, range):
+        trials = [RandomSource.check_seed(t) for t in trials]
     seed_sequence, generator = _numpy_random()
     pool = seed_sequence(seed).pool
     pool = np.concatenate((pool, pool))  # the four lanes twice round

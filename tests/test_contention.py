@@ -1,20 +1,26 @@
 """Closed-form contention: the sampled election against the state walk it replaces.
 
-``run_contention`` and ``fairness_experiment`` sample the W outcomes and the
-ancilla readout without building the leader-aware state. Here that sampling
-is pinned to ``contend`` then ``read_ancillas`` on ``prepare_leader_aware(n)``:
-same winner, W outcomes and ancilla, the same number of draws, and the same
-next draw, over seeded streams and over stub draws placed on every float
-boundary the walk compares with. The memory guard checks that no sampled slot
-or fairness trial builds the leader-aware state or any state of more than 8
-terms, and the limit on ``n`` is checked to fail before any work starts, in
-``export-circuit`` too.
+``run_contention`` samples the W outcomes and the ancilla readout without
+building the leader-aware state. Here that sampling is pinned to ``contend``
+then ``read_ancillas`` on ``prepare_leader_aware(n)``: same winner, W
+outcomes and ancilla, the same number of draws, and the same next draw, over
+seeded streams and over stub draws placed on every float boundary the walk
+compares with. ``fairness_experiment`` decides a block of trials at once by
+``winners``; its thresholds are pinned to the walk's p0 values bit for bit,
+and its winners to ``sample_contention``'s on those boundary draws and on
+seeded blocks of trials, through the worker pool too. The memory guard
+checks that no sampled slot or fairness trial builds the leader-aware state
+or any state of more than 8 terms, and the limit on ``n`` is checked to fail
+before any work starts, in ``export-circuit`` too.
 """
 
 import contextlib
 import itertools
 import math
+import os
+from functools import partial
 
+import numpy as np
 import pytest
 
 import entaccess.cli
@@ -28,13 +34,15 @@ from entaccess.circuits import (
 from entaccess.protocol import (
     SlotType,
     contend,
+    contention_thresholds,
     read_ancillas,
     run_contention,
     run_slot,
     sample_contention,
+    winners,
 )
 from entaccess.session import SessionConfig, fairness_experiment
-from entaccess.statevector import RandomSource, StateVector, apply_cnot
+from entaccess.statevector import _SEED_CHUNK, RandomSource, StateVector, apply_cnot
 
 
 class Draws:
@@ -126,6 +134,74 @@ class TestPinnedToTheStateWalk:
         p0 = walk_thresholds(4, monkeypatch)[0]
         assert run_contention(4, boundary_draws(0, p0)())[0] == 1
         assert run_contention(4, boundary_draws(0, math.nextafter(p0, 0.0))())[0] != 1
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs, and no cached worker pool before or after the test."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    close_pools()
+    yield
+    close_pools()
+
+
+def close_pools():
+    for _, pool in session._pools.values():
+        pool.shutdown()
+    session._pools.clear()
+
+
+def slot_winners(n, seed, trials):
+    """The reference: each trial's winner, its stream sampled through ``sample_contention``."""
+    return [sample_contention(n, rng)[0] for rng in RandomSource._for_trials(seed, trials)]
+
+
+class TestBlockWinners:
+    @pytest.mark.parametrize("n", [*range(1, 65), 257, 1024])
+    def test_thresholds_are_the_walks(self, n, monkeypatch):
+        expected = walk_thresholds(n, monkeypatch)
+        assert [p0.hex() for p0 in contention_thresholds(n)] == [p0.hex() for p0 in expected]
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_rule_on_every_threshold(self, n, monkeypatch):
+        rows, expected = [], []
+        for position, p0 in enumerate(walk_thresholds(n, monkeypatch)):
+            for draw in (math.nextafter(p0, 0.0), p0, math.nextafter(p0, 1.0)):
+                make_draws = boundary_draws(position, draw)
+                expected.append(sample_contention(n, make_draws())[0])
+                rows.append(list(itertools.islice(iter(make_draws().random, None), n)))
+        assert winners(n, np.array(rows)).tolist() == expected
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 2**32, 2**128 + 1])
+    def test_blocks_of_trials(self, seed, jobs, two_cpus):
+        # 655 trials fill a matrix at n=100; each process's 1,324 trials
+        # straddle it twice and the seed chunk once.
+        n, trials = 100, 2 * (_SEED_CHUNK + 300)
+        assert session._WINNER_BLOCK // n < _SEED_CHUNK < trials // 2
+        work = partial(session._contention_winners, n, seed)
+        assert session._per_trial(work, trials, jobs) == slot_winners(n, seed, range(trials))
+
+    def test_one_row_at_a_time_past_the_block(self):
+        n = 200_000  # over _WINNER_BLOCK, so each trial is a matrix of one row
+        expected = {node: 0 for node in range(1, n + 1)}
+        for winner in slot_winners(n, 7, range(3)):
+            expected[winner] += 1
+        assert fairness_experiment(n, 3, 7).histogram == expected
+
+    def test_thresholds_refuse_a_branch_within_eps_of_one(self, monkeypatch):
+        # before a win 1 - p0 is 1/(n - j): at eps 0.2 node 1 of 8 wins with
+        # 1/8, while every branch of n = 4 weighs at least 1/4
+        monkeypatch.setattr(protocol, "_BRANCH_EPS", 0.2)
+        contention_thresholds.cache_clear()
+        assert contention_thresholds(4) == (0.75, 2 / 3, 0.5, 0.0)
+        with pytest.raises(ValueError, match=r"branch: qubit 0 -> 1 \(p = 0.125\)"):
+            contention_thresholds(8)
+
+    def test_a_cached_size_is_still_checked(self):
+        contention_thresholds(4)
+        with pytest.raises(ValueError, match="n must be an integer, got 4.0"):
+            contention_thresholds(4.0)
 
 
 @contextlib.contextmanager

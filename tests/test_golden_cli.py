@@ -17,14 +17,18 @@ five-word seed (2**128 + 1) and a session under a two-word one (2**32),
 were captured while each trial still built numpy's ``SeedSequence(seed,
 spawn_key=(trial,))``, before a block of trials came to derive those seed
 words in one pass; past four words the seed moves where a trial's words
-start in numpy's hash-constant sequence.
+start in numpy's hash-constant sequence. ``fairness_n300_csv``, 2,500
+trials that cross the seed chunk and several blocks of fairness draws, was
+captured while each fairness trial still drew its W bits one at a time from
+its own ``RandomSource``, before a block of trials came to be decided in one
+comparison.
 
 Six invocations that run seeded trials were regenerated when trial ``t`` of
 seed ``s`` came to be seeded from the pair ``(s, t)`` instead of ``s ^ t``:
 ``session_n4_du``, ``session_n14``, ``session_n5_csv``, ``session_n5_json``,
 ``fairness_n8`` and ``fairness_n6_csv``. No other file moved. Each of
-those, ``session_n64_jsonl`` and the two ``wide_seed`` files
-(``SEEDED_TRIALS``), is also run with
+those, ``session_n64_jsonl``, the two ``wide_seed`` files and
+``fairness_n300_csv`` (``SEEDED_TRIALS``), is also run with
 ``--jobs 2``, and with ``--jobs 3`` on three CPUs (the caller and two
 workers, with unequal blocks where the trial count is not a multiple of
 three), against the same file, so the process-pool path is pinned to the
@@ -67,6 +71,7 @@ INVOCATIONS = {
         "fairness --n 5 --seed 340282366920938463463374607431768211457 --trials 64 --format csv"
     ),
     "session_n3_wide_seed_jsonl": "session --n 3 --seed 4294967296 --trials 5 --format jsonl",
+    "fairness_n300_csv": "fairness --n 300 --seed 11 --trials 2500 --format csv",
 }
 
 SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)

@@ -28,6 +28,7 @@ from entaccess.protocol import (
     run_downlink_slot,
     run_slot,
     run_uplink_slot,
+    sample_contention,
     slot_messages,
     teleport_receive,
     teleport_send,
@@ -525,8 +526,14 @@ class TestImpossibleBranchFlip:
         assert flip_spy == {"draws": 3, "flips": 2}
 
     def test_never_fires_in_a_fairness_run(self, flip_spy):
-        fairness_experiment(8, 2000, seed=5)
+        # A fairness run decides its winners by ``winners``, which no spy sees;
+        # the same trials' draws, each through the rule, elect the same nodes.
+        elected = [
+            sample_contention(8, rng)[0] for rng in RandomSource._for_trials(5, range(2000))
+        ]
         assert flip_spy == {"draws": 8 * 2000, "flips": 0}
+        histogram = {node: elected.count(node) for node in range(1, 9)}
+        assert histogram == fairness_experiment(8, 2000, seed=5).histogram
 
 
 class FixedBits:

@@ -625,10 +625,19 @@ class TestTrialSeeds:
         assert first.random() == RandomSource((1, 0)).random()
         assert len(list(sources)) == 3
 
-    @pytest.mark.parametrize("trials", [[-1], [2**40, -1], [3, -2**40]])
+    @pytest.mark.parametrize("trials", [[-1], [2**40, -1], [3, -2**40], range(-2, 2)])
     def test_negative_trial_rejected(self, trials):
         with pytest.raises(ValueError, match="non-negative"):
             list(RandomSource._for_trials(0, trials))
+
+    @pytest.mark.parametrize("trials", [[1.5], [0, 2.0], [2**40, 1.5], (3, "4")])
+    def test_non_integer_trial_rejected(self, trials):
+        # the error a pair with that trial raises, not a truncated trial's stream
+        with pytest.raises(ValueError) as pair:
+            RandomSource((0, trials[-1]))
+        with pytest.raises(ValueError, match="seed must be a non-negative integer") as block:
+            list(RandomSource._for_trials(0, trials))
+        assert str(block.value) == str(pair.value)
 
 
 class TestProductState:
