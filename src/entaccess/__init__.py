@@ -72,7 +72,6 @@ from .statevector import (
     fidelity,
     haar_qubit,
     measure,
-    measure_sequence,
     product_state,
     tensor_product,
 )

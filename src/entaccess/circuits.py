@@ -86,20 +86,6 @@ class LeaderAwareLayout:
     def ancilla_qubits(self) -> tuple[int, ...]:
         return tuple(range(self.n, self.n + self.m))
 
-    @classmethod
-    def from_total_qubits(cls, total: int) -> LeaderAwareLayout:
-        """Recover the layout from a register size (n + ancilla_count(n) is injective).
-
-        The search starts at a lower bound of the answer: ancilla_count(n) is at
-        most n.bit_length(), which is at most total.bit_length().
-        """
-        n = max(1, total - total.bit_length())
-        while n + ancilla_count(n) < total:
-            n += 1
-        if n + ancilla_count(n) != total:
-            raise ValueError(f"no end-node count yields a {total}-qubit register")
-        return cls(n)
-
 
 @lru_cache(maxsize=16, typed=True)
 def prepare_ghz(q: int) -> StateVector:

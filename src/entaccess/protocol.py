@@ -21,7 +21,10 @@ orchestrator). A slot runs:
 Classical traffic per slot has a fixed shape, built by ``slot_messages``:
 every end-node sends exactly one two-bit report (losers pad with dummy
 random bits), and in downlink the orchestrator answers with one three-bit
-broadcast. Nothing on the wire depends on who won. An end-node observes
+broadcast. Only that shape is independent of the winner: in downlink the
+XOR of every report's g bit with the broadcast parity is the winner's
+padding g bit, which each loser's g matches with probability 1/2 only.
+An end-node observes
 its own W bit and the messages it sends or receives: its own report and
 the downlink broadcast, never another end-node's report. ``local_view`` is
 the only definition of that view. A slot's type and winner fix its pair,
@@ -45,6 +48,7 @@ from .circuits import (
     end_node_count,
     leader_aware_amplitude,
     prepare_ghz,
+    prepare_leader_aware,
 )
 from .extraction import build_p_sequence, extract_epr
 from .statevector import (
@@ -55,6 +59,7 @@ from .statevector import (
     RandomSource,
     StateVector,
     _sample,
+    _state,
     _zero_branch,
     apply_cnot,
     apply_single,
@@ -62,7 +67,6 @@ from .statevector import (
     embed,
     fidelity,
     measure,
-    measure_sequence,
     tensor_product,
 )
 
@@ -224,20 +228,30 @@ def contend(
 ) -> tuple[int, tuple[int, ...], StateVector]:
     """Every end-node measures its W qubit; exactly one reads 1 and wins.
 
-    Returns (winner, per-node outcomes, post-measurement state with the
-    ancillas still unread). Each node only ever sees its own outcome; the
-    full vector is returned for bookkeeping.
+    ``leader_aware`` must equal ``prepare_leader_aware(n)``, n its term count,
+    else ValueError; its W outcomes are ``sample_contention(n, rng)``'s.
+    Returns (winner, per-node outcomes, the winner's term with the ancillas
+    unread). Each node only sees its own outcome; the full vector is bookkeeping.
     """
-    layout = LeaderAwareLayout.from_total_qubits(leader_aware.num_qubits)
-    outcomes, state = measure_sequence(leader_aware, layout.w_qubits, rng)
-    return one_hot_winner(outcomes), outcomes, state
+    n = len(leader_aware.support)
+    if leader_aware != prepare_leader_aware(n):
+        raise ValueError("contend takes prepare_leader_aware's state only")
+    winner, outcomes = sample_contention(n, rng)
+    mask = leader_aware._mask(winner - 1)
+    (index,) = (i for i in leader_aware.support if i & mask)
+    return winner, outcomes, _state(leader_aware.num_qubits, {index: complex(1.0)})
 
 
 def read_ancillas(
     state: StateVector, layout: LeaderAwareLayout, rng: RandomSource
 ) -> tuple[tuple[int, ...], StateVector]:
-    """Orchestrator-side readout of the ancilla block (deterministic after contention)."""
-    return measure_sequence(state, layout.ancilla_qubits, rng)
+    """Orchestrator-side readout of the ancillas of ``contend``'s post-state: one
+    term over ``layout``'s register (else ValueError), returned unchanged."""
+    if len(state.support) != 1 or state.num_qubits != layout.num_qubits:
+        raise ValueError(f"read_ancillas takes one term over {layout.num_qubits} qubits")
+    (index,) = state.support
+    bits = [1 if index & state._mask(q) else 0 for q in layout.ancilla_qubits]
+    return _read_bits(bits, rng), state
 
 
 # Built once per n, which a session or fairness run keeps: rebuilt every slot,
@@ -249,10 +263,10 @@ def contention_thresholds(n: int) -> tuple[float, ...]:
     (node j+1) elects it unless it falls below ``p0[j]``.
 
     The leader-aware support is n terms of equal weight, and its W block is
-    one-hot, so ``measure_sequence``'s walk over it is fixed by integers and
-    one prefix-sum list of the n weights: sorted by W bits, node k's term sits
-    at n - k. ``p0[j]`` is the weight of nodes j+2..n over that of nodes
-    j+1..n, the same floats that walk compares with (pinned in tests).
+    one-hot, so measuring its W qubits in turn, sorted by W bits, is fixed by
+    integers and one prefix-sum list of the n weights: node k's term sits at
+    n - k. ``p0[j]`` is the weight of nodes j+2..n over that of nodes j+1..n,
+    the floats of the sorted walk that the tests keep (pinned by ``float.hex``).
 
     Each p0 is checked here, once: the last is 0.0, so some node wins, and
     every other leaves both branches above ``_BRANCH_EPS``. So ``_sample``'s
@@ -272,13 +286,13 @@ def contention_thresholds(n: int) -> tuple[float, ...]:
 
 
 def sample_contention(n: int, rng: RandomSource) -> tuple[int, tuple[int, ...]]:
-    """``contend(prepare_leader_aware(n), rng)`` in closed form: (winner, W outcomes).
+    """The W measurements of ``prepare_leader_aware(n)`` in closed form: (winner, W outcomes).
 
     Until a node has won, draw j is sampled by ``_sample`` against
     ``contention_thresholds(n)[j]``; after it only the winner's term is left,
     so each draw compares with 1.0 and reads 0. Every draw takes the same
-    floats and checks as ``measure_sequence``'s walk, so the two agree bit for
-    bit (pinned in tests), without a state or an (n+m)-bit index.
+    floats and checks as the tests' sorted walk over the state's support, so
+    the two agree bit for bit, without a state or an (n+m)-bit index.
     """
     thresholds = contention_thresholds(n)
     outcomes = [0] * len(thresholds)
@@ -298,16 +312,27 @@ def winners(n: int, uniforms: np.ndarray) -> np.ndarray:
     ``contention_thresholds(n)[j]``: the winner ``sample_contention`` elects
     from the same n draws.
     """
-    return (uniforms >= np.array(contention_thresholds(n))).argmax(axis=-1) + 1
+    return (uniforms >= _threshold_array(n)).argmax(axis=-1) + 1
+
+
+# Cached as the tuple is: past n = 2^16 one trial fills a ``winners`` matrix.
+@functools.lru_cache(maxsize=1, typed=True)
+def _threshold_array(n: int) -> np.ndarray:
+    """``contention_thresholds(n)`` as a read-only numpy array."""
+    array = np.array(contention_thresholds(n))
+    array.flags.writeable = False
+    return array
+
+
+def _read_bits(bits: Sequence[int], rng: RandomSource) -> tuple[int, ...]:
+    """Measure qubits whose bits are known, one draw each: ``_sample`` against
+    1.0 for a 0 bit and 0.0 for a 1 bit reads each bit back."""
+    return tuple(_sample(1.0 - bit, rng) for bit in bits)
 
 
 def sample_ancillas(winner: int, n: int, rng: RandomSource) -> tuple[int, ...]:
-    """``read_ancillas`` after contention in closed form: ``winner``'s codeword.
-
-    One draw per ancilla (qubits n, n+1, ...), compared with 1.0 for a 0 bit
-    and 0.0 for a 1 bit.
-    """
-    return tuple(_sample(1.0 - bit, rng) for bit in codeword(winner, ancilla_count(n)))
+    """``read_ancillas`` after contention in closed form: ``winner``'s codeword."""
+    return _read_bits(codeword(winner, ancilla_count(n)), rng)
 
 
 def decode_ancilla(ancilla: Sequence[int], n: int) -> int:

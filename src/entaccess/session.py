@@ -130,9 +130,9 @@ class SessionConfig:
         if self.trials < 1:
             raise ValueError("need at least one trial")
         object.__setattr__(self, "seed", RandomSource.check_seed(self.seed))
+        object.__setattr__(self, "slots", tuple(self.slots))
         if not self.slots:
             raise ValueError("slot pattern must not be empty")
-        object.__setattr__(self, "slots", tuple(self.slots))
         for slot_type in self.slots:
             if not isinstance(slot_type, SlotType):
                 raise ValueError(f"slot pattern entries must be SlotType, got {slot_type!r}")

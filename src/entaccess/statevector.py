@@ -22,10 +22,6 @@ Conventions:
   unchecked by ``_state``.
 - The dense view ``amplitudes`` refuses registers beyond
   ``MAX_DENSE_QUBITS`` before allocating anything.
-- ``measure_sequence`` measures a contiguous, ascending block of qubits
-  (``[q, q+1, ..., q+k-1]``) in the computational basis and refuses any
-  other list. Those qubits are adjacent index bits, so one sort of the
-  support by them puts every set of still-possible terms in one index range.
 """
 
 from __future__ import annotations
@@ -35,10 +31,9 @@ import functools
 import math
 import numbers
 import operator
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Iterator, Mapping, Sequence
 
@@ -519,53 +514,6 @@ def measure(state: StateVector, qubit: int, rng: RandomSource) -> tuple[int, Sta
     p0, p1 = _branch_weights(state, qubit)
     outcome = _sample_branch(qubit, p0, p1, rng)
     return outcome, _project(state, qubit, outcome, p1 if outcome else p0)
-
-
-def measure_sequence(
-    state: StateVector, qubits: Sequence[int], rng: RandomSource
-) -> tuple[tuple[int, ...], StateVector]:
-    """Computational-basis measurement of ``qubits`` in order: (outcome bits, post-state).
-
-    ``qubits`` must be a contiguous, ascending block. It draws as calling
-    ``measure`` on each qubit in turn does, one uniform per qubit in order,
-    and compares each draw with the same conditional p0 up to float
-    rounding, so it gives that loop's outcomes and, to rounding, its
-    post-state. The support is sorted once by the block's bits, so the terms
-    still possible after each outcome form one range of that order: each p0
-    is a ratio of prefix sums whose split point is found by bisection, and
-    the state is normalised once at the end.
-    """
-    qubits = tuple(qubits)
-    if not qubits:
-        return (), state
-    first, k = qubits[0], len(qubits)
-    if qubits != tuple(range(first, first + k)):
-        raise ValueError(f"qubits must be a contiguous ascending block, got {list(qubits)}")
-    state._mask(first)  # both ends in the register, or IndexError as in ``measure``
-    state._mask(qubits[-1])
-    shift = state.num_qubits - 1 - qubits[-1]
-    block = (1 << k) - 1
-    keyed = sorted(((i >> shift) & block, abs(a) ** 2) for i, a in state._support.items())
-    keys = [key for key, _ in keyed]
-    cum = list(accumulate((w for _, w in keyed), initial=0.0))
-    if cum[-1] <= 0.0:  # where ``measure`` would find both branches empty
-        raise _zero_branch(first, 1, cum[-1])
-    lo, hi, seen = 0, len(keys), 0
-    outcomes = []
-    for j, qubit in enumerate(qubits):
-        bit = 1 << (k - 1 - j)
-        split = bisect_left(keys, seen | bit, lo, hi)
-        alive = cum[hi] - cum[lo]
-        p0 = (cum[split] - cum[lo]) / alive
-        outcome = _sample_branch(qubit, p0, (cum[hi] - cum[split]) / alive, rng)
-        if outcome:
-            lo, seen = split, seen | bit
-        else:
-            hi = split
-        outcomes.append(outcome)
-    root = math.sqrt(cum[hi] - cum[lo])
-    support = {i: a / root for i, a in state._support.items() if (i >> shift) & block == seen}
-    return tuple(outcomes), _state(state.num_qubits, support)
 
 
 def enumerate_branches(

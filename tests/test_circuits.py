@@ -56,8 +56,20 @@ class TestLayout:
 
     @pytest.mark.parametrize("n", [*range(1, 11), 255, 256, 257, 1023, 1024, 1025])
     def test_total_qubits_roundtrip(self, n):
+        # node -> term of the n + m qubit register -> node, read from the
+        # layout's W qubits and from its ancillas, where m steps at powers of two
         layout = LeaderAwareLayout(n)
-        assert LeaderAwareLayout.from_total_qubits(layout.num_qubits).n == n
+        state = prepare_leader_aware(n)
+        assert state.num_qubits == layout.num_qubits == n + ancilla_count(n)
+        nodes = []
+        for index in state.support:
+            bits = format(index, f"0{layout.num_qubits}b")
+            w = [bits[q] for q in layout.w_qubits]
+            assert w.count("1") == 1
+            nodes.append(w.index("1") + 1)
+            ancilla = [int(bits[q]) for q in layout.ancilla_qubits]
+            assert 1 + sum(bit << j for j, bit in enumerate(ancilla)) == nodes[-1]
+        assert sorted(nodes) == list(range(1, n + 1))
 
     def test_ancilla_count_is_exact_at_powers_of_two(self):
         # a float log2 rounds 2**k + 1 down to k from k = 49 on
@@ -66,21 +78,10 @@ class TestLayout:
             assert ancilla_count(2**k + 1) == k + 1
 
     def test_n_over_the_limit_rejected(self):
-        top = LeaderAwareLayout(MAX_END_NODES)
-        assert LeaderAwareLayout.from_total_qubits(top.num_qubits) == top
+        assert LeaderAwareLayout(MAX_END_NODES).n == MAX_END_NODES
         for n in (MAX_END_NODES + 1, 2**60 + 1):
             with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):
                 LeaderAwareLayout(n)
-            with pytest.raises(ValueError, match=f"over the limit of {MAX_END_NODES}"):
-                LeaderAwareLayout.from_total_qubits(n + ancilla_count(n))
-
-    def test_impossible_total_rejected(self):
-        with pytest.raises(ValueError, match="no end-node count"):
-            LeaderAwareLayout.from_total_qubits(2)
-        possible = {LeaderAwareLayout(n).num_qubits for n in range(1, 1100)}
-        for total in set(range(1100)) - possible:
-            with pytest.raises(ValueError, match="no end-node count"):
-                LeaderAwareLayout.from_total_qubits(total)
 
 
 class TestPrepareGhz:

@@ -1,8 +1,10 @@
 """Closed-form contention: the sampled election against the state walk it replaces.
 
 ``run_contention`` samples the W outcomes and the ancilla readout without
-building the leader-aware state. Here that sampling is pinned to ``contend``
-then ``read_ancillas`` on ``prepare_leader_aware(n)``: same winner, W
+building the leader-aware state, and ``contend`` then ``read_ancillas`` run
+the same closed form on that state. Both are pinned here to the reference
+walk, ``measure_sequence`` (kept in ``test_statevector``) over the W block
+and then the ancilla block of ``prepare_leader_aware(n)``: same winner, W
 outcomes and ancilla, the same number of draws, and the same next draw, over
 seeded streams and over stub draws placed on every float boundary the walk
 compares with. ``fairness_experiment`` decides a block of trials at once by
@@ -22,6 +24,7 @@ from functools import partial
 
 import numpy as np
 import pytest
+from test_statevector import measure_sequence
 
 import entaccess.cli
 from entaccess import circuits, extraction, protocol, session, statevector
@@ -35,6 +38,7 @@ from entaccess.protocol import (
     SlotType,
     contend,
     contention_thresholds,
+    one_hot_winner,
     read_ancillas,
     run_contention,
     run_slot,
@@ -61,23 +65,37 @@ def seeded(seed):
     return lambda: Draws(iter(RandomSource(seed).random, None))
 
 
+def w_walk(n, rng):
+    """The reference contention: ``measure_sequence`` over the W block of the built state."""
+    layout = LeaderAwareLayout(n)
+    w_outcomes, post = measure_sequence(prepare_leader_aware(n), layout.w_qubits, rng)
+    return one_hot_winner(w_outcomes), w_outcomes, post
+
+
 def state_walk(n, rng):
-    """The reference: ``contend`` then ``read_ancillas`` on the built state."""
+    """The reference: ``w_walk``, then ``measure_sequence`` over the ancilla block."""
+    winner, w_outcomes, post = w_walk(n, rng)
+    ancilla, _ = measure_sequence(post, LeaderAwareLayout(n).ancilla_qubits, rng)
+    return winner, w_outcomes, ancilla
+
+
+def state_api(n, rng):
+    """``contend`` then ``read_ancillas`` on the built state."""
     winner, w_outcomes, post = contend(prepare_leader_aware(n), rng)
     ancilla, _ = read_ancillas(post, LeaderAwareLayout(n), rng)
     return winner, w_outcomes, ancilla
 
 
 def assert_pinned(n, make_draws):
-    """Both closed-form calls equal the state walk, down to the draws taken and the next one."""
-    rng, ref_rng = make_draws(), make_draws()
-    assert run_contention(n, rng) == state_walk(n, ref_rng)
-    assert rng.count == ref_rng.count == n + ancilla_count(n)
-    assert rng.random() == ref_rng.random()
+    """Every closed-form call equals the state walk, down to the draws taken and the next one."""
+    for closed_form in (run_contention, state_api):
+        rng, ref_rng = make_draws(), make_draws()
+        assert closed_form(n, rng) == state_walk(n, ref_rng)
+        assert rng.count == ref_rng.count == n + ancilla_count(n)
+        assert rng.random() == ref_rng.random()
 
     rng, ref_rng = make_draws(), make_draws()
-    winner, w_outcomes, _ = contend(prepare_leader_aware(n), ref_rng)
-    assert sample_contention(n, rng) == (winner, w_outcomes)
+    assert sample_contention(n, rng) == w_walk(n, ref_rng)[:2]
     assert rng.count == ref_rng.count == n
     assert rng.random() == ref_rng.random()
 
@@ -128,6 +146,17 @@ class TestPinnedToTheStateWalk:
             p0 = thresholds[position]
             for draw in (math.nextafter(p0, 0.0), p0, math.nextafter(p0, 1.0)):
                 assert_pinned(n, boundary_draws(position, draw))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 257])
+    def test_post_state_is_the_walks(self, n):
+        # the winner's one term: the walk divides by the root of a summed weight, contend writes 1
+        for seed in range(10):
+            _, _, post = contend(prepare_leader_aware(n), RandomSource((n, seed)))
+            _, _, walk_post = w_walk(n, RandomSource((n, seed)))
+            assert post.num_qubits == walk_post.num_qubits
+            assert post.support.keys() == walk_post.support.keys()
+            (amp,) = walk_post.support.values()
+            assert list(post.support.values()) == [1.0] and abs(amp - 1.0) <= 1e-12
 
     def test_a_draw_at_the_threshold_wins(self, monkeypatch):
         # ``r < p0`` loses, so a draw exactly at node 1's p0 elects node 1
@@ -197,6 +226,20 @@ class TestBlockWinners:
         assert contention_thresholds(4) == (0.75, 2 / 3, 0.5, 0.0)
         with pytest.raises(ValueError, match=r"branch: qubit 0 -> 1 \(p = 0.125\)"):
             contention_thresholds(8)
+
+    def test_threshold_array_is_built_once_and_read_only(self):
+        n = 1000
+        protocol._threshold_array.cache_clear()
+        rows = np.full((3, n), math.nextafter(1.0, 0.0))  # node 1 wins
+        assert winners(n, rows).tolist() == winners(n, rows).tolist() == [1, 1, 1]
+        assert protocol._threshold_array.cache_info().misses == 1
+        array = protocol._threshold_array(n)
+        assert protocol._threshold_array(n) is array and not array.flags.writeable
+        assert [p0.hex() for p0 in array.tolist()] == [p0.hex() for p0 in contention_thresholds(n)]
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.5
+        with pytest.raises(ValueError, match="n must be an integer, got 1000.0"):
+            winners(1000.0, rows)
 
     def test_a_cached_size_is_still_checked(self):
         contention_thresholds(4)

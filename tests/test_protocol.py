@@ -1,6 +1,11 @@
 """Contention, ancilla decoding, teleportation, and full slot runs."""
 
+import importlib.util
 import math
+import random
+import sys
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +14,7 @@ from hypothesis import strategies as st
 
 from dense_states import basis_state, marginal_distribution
 from entaccess import extraction, protocol, statevector
-from entaccess.circuits import ancilla_count, prepare_leader_aware
+from entaccess.circuits import LeaderAwareLayout, ancilla_count, prepare_leader_aware
 from entaccess.extraction import BELL_PHI_MINUS, BELL_PHI_PLUS, loser_parity
 from entaccess.protocol import (
     ClassicalMessage,
@@ -24,6 +29,7 @@ from entaccess.protocol import (
     local_view,
     message_shape,
     one_hot_winner,
+    read_ancillas,
     run_contention,
     run_downlink_slot,
     run_slot,
@@ -53,6 +59,30 @@ from entaccess.statevector import (
     product_state,
     tensor_product,
 )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+# n where the ancilla count m steps (at powers of two) and around it
+LAYOUT_NS = [*range(1, 11), 255, 256, 257, 1023, 1024, 1025]
+CHANGES = ["all-zero W block", "dropped term", "scaled amplitude", "phased amplitude", "wider"]
+
+
+def other_state(n, change):
+    """``prepare_leader_aware(n)`` with one of the ``CHANGES``, still a valid state."""
+    state = prepare_leader_aware(n)
+    width, support = state.num_qubits, dict(state.support)
+    first, amp = next(iter(support.items()))
+    if change == "all-zero W block":
+        w_block = sum(1 << (width - 1 - q) for q in range(n))
+        return StateVector(width, {i & ~w_block: a for i, a in support.items()})
+    if change == "dropped term":  # the rest renormalised
+        kept = {i: a * math.sqrt(n / (n - 1)) for i, a in support.items() if i != first}
+        return StateVector(width, kept)
+    if change == "scaled amplitude":
+        return StateVector(width, {**support, first: amp * (1 + 1e-12)})
+    if change == "phased amplitude":
+        return StateVector(width, {**support, first: amp * 1j})
+    return StateVector(width + 1, {i << 1: a for i, a in support.items()})  # a qubit appended
 
 
 def message_bits(messages):
@@ -87,8 +117,38 @@ class TestContend:
 
     def test_rejects_non_one_hot_state(self):
         corrupted = basis_state([0] * 6)  # all-zero W block for n=4
-        with pytest.raises(ProtocolError, match="winners"):
+        with pytest.raises(ValueError, match="prepare_leader_aware's state only"):
             contend(corrupted, RandomSource(0))
+
+    @pytest.mark.parametrize(
+        "n,change",
+        [(n, c) for n in LAYOUT_NS for c in CHANGES if (n, c) != (1, "dropped term")],
+    )
+    def test_rejects_any_other_state_before_drawing(self, n, change):
+        rng = CountingSource(n)
+        with pytest.raises(ValueError, match="prepare_leader_aware's state only"):
+            contend(other_state(n, change), rng)
+        assert rng.count == 0
+        winner, w_outcomes, post = contend(prepare_leader_aware(n), rng)
+        assert rng.count == n and w_outcomes[winner - 1] == 1 and len(post.support) == 1
+
+    @pytest.mark.parametrize("n", LAYOUT_NS)
+    def test_read_ancillas_takes_one_term_of_the_layout(self, n):
+        layout = LeaderAwareLayout(n)
+        winner, _, post = contend(prepare_leader_aware(n), RandomSource(n))
+        rng = CountingSource(0)
+        (index,) = post.support
+        others = [
+            StateVector(layout.num_qubits, {index: 0.6, index ^ 1: 0.8}),  # two terms
+            StateVector(layout.num_qubits + 1, {index: 1.0}),  # one qubit wider
+        ]
+        for state in others:
+            with pytest.raises(ValueError, match="read_ancillas takes one term"):
+                read_ancillas(state, layout, rng)
+        assert rng.count == 0
+        ancilla, same = read_ancillas(post, layout, rng)
+        assert rng.count == layout.m and same is post
+        assert decode_ancilla(ancilla, n) == winner
 
 
 class TestContentionChecks:
@@ -649,6 +709,39 @@ class TestDeliveredFidelity:
             got, want = checked[-1]
             assert got == want == report.teleport_fidelity.hex()
         assert len(checked) == 10
+
+
+@cache
+def perfbench_workloads():
+    """``perfbench/workloads.py``, loaded by path, writing no bytecode beside it."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+class TestBenchmarkSlot:
+    """The benchmark's traced slot, built from the layers' public calls, must
+    give what its untraced slot gives: the comparison its traced run makes."""
+
+    @pytest.mark.parametrize("slot_type", ["uplink", "downlink"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 14, 64])
+    def test_composed_slot_equals_run_slot(self, n, slot_type):
+        workloads = perfbench_workloads()
+        bench = workloads.SlotN14(smoke=False)
+        bench.n = n
+        seeds = random.Random(f"{n}-{slot_type}")
+        for _ in range(100):
+            seed = workloads.program_seed(seeds)
+            report = bench.op1((slot_type, seed))
+            composed = workloads.compose_slot(n, slot_type, seed)
+            assert bench.summary(composed) == bench.summary(report)
 
 
 class TestTrafficShape:

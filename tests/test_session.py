@@ -22,11 +22,12 @@ from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from dense_states import basis_state
+from test_statevector import measure_sequence
 import entaccess.circuits
 import entaccess.protocol
 import entaccess.session
 from entaccess.circuits import prepare_leader_aware
-from entaccess.protocol import ProtocolError, SlotType, contend
+from entaccess.protocol import ProtocolError, SlotType
 from entaccess.session import (
     DEFAULT_SLOT_PATTERN,
     SessionConfig,
@@ -64,6 +65,14 @@ class TestSessionConfig:
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError, match="pattern"):
             SessionConfig(n=2, seed=0, slots=())
+
+    @pytest.mark.parametrize(
+        "slots", [lambda: iter(()), lambda: (s for s in [])], ids=["iterator", "generator"]
+    )
+    def test_rejects_an_empty_iterable(self, slots):
+        # an iterator is truthy whether or not it is empty: check the tuple
+        with pytest.raises(ValueError, match="slot pattern must not be empty"):
+            SessionConfig(4, 1, slots=slots())
 
     def test_rejects_slot_type_strings(self):
         with pytest.raises(ValueError, match="'uplink'"):
@@ -602,10 +611,11 @@ class TestFairness:
         result = fairness_experiment(5, 40, seed=3)
         monkeypatch.undo()
         assert built == []
+        # the reference walk: each trial's W block measured on the built state
         expected = {node: 0 for node in range(1, 6)}
         for t in range(40):
-            winner, _, _ = contend(prepare_leader_aware(5), RandomSource((3, t)))
-            expected[winner] += 1
+            w, _ = measure_sequence(prepare_leader_aware(5), range(5), RandomSource((3, t)))
+            expected[w.index(1) + 1] += 1
         assert result.histogram == expected
 
     def test_histogram_independent_of_job_count(self):

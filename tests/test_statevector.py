@@ -9,8 +9,11 @@ probabilities at binomial 3-sigma bounds.
 import itertools
 import math
 import pickle
+from bisect import bisect_left
 from dataclasses import FrozenInstanceError
 from functools import reduce
+from itertools import accumulate
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -39,11 +42,12 @@ from entaccess.statevector import (
     fidelity,
     haar_qubit,
     measure,
-    measure_sequence,
     product_state,
     tensor_product,
     _index_with,
+    _sample_branch,
     _state,
+    _zero_branch,
 )
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -873,6 +877,53 @@ class TestDenseBudget:
         assert marginal_distribution(state, [0, 63]) == {
             (0, 0): 1.0, (0, 1): 0.0, (1, 0): 0.0, (1, 1): 0.0
         }
+
+
+def measure_sequence(
+    state: StateVector, qubits: Sequence[int], rng: RandomSource
+) -> tuple[tuple[int, ...], StateVector]:
+    """Computational-basis measurement of ``qubits`` in order: (outcome bits, post-state).
+
+    ``qubits`` must be a contiguous, ascending block. It draws as calling
+    ``measure`` on each qubit in turn does, one uniform per qubit in order,
+    and compares each draw with the same conditional p0 up to float
+    rounding, so it gives that loop's outcomes and, to rounding, its
+    post-state. The support is sorted once by the block's bits, so the terms
+    still possible after each outcome form one range of that order: each p0
+    is a ratio of prefix sums whose split point is found by bisection, and
+    the state is normalised once at the end.
+    """
+    qubits = tuple(qubits)
+    if not qubits:
+        return (), state
+    first, k = qubits[0], len(qubits)
+    if qubits != tuple(range(first, first + k)):
+        raise ValueError(f"qubits must be a contiguous ascending block, got {list(qubits)}")
+    state._mask(first)  # both ends in the register, or IndexError as in ``measure``
+    state._mask(qubits[-1])
+    shift = state.num_qubits - 1 - qubits[-1]
+    block = (1 << k) - 1
+    keyed = sorted(((i >> shift) & block, abs(a) ** 2) for i, a in state._support.items())
+    keys = [key for key, _ in keyed]
+    cum = list(accumulate((w for _, w in keyed), initial=0.0))
+    if cum[-1] <= 0.0:  # where ``measure`` would find both branches empty
+        raise _zero_branch(first, 1, cum[-1])
+    lo, hi, seen = 0, len(keys), 0
+    outcomes = []
+    for j, qubit in enumerate(qubits):
+        bit = 1 << (k - 1 - j)
+        split = bisect_left(keys, seen | bit, lo, hi)
+        alive = cum[hi] - cum[lo]
+        p0 = (cum[split] - cum[lo]) / alive
+        outcome = _sample_branch(qubit, p0, (cum[hi] - cum[split]) / alive, rng)
+        if outcome:
+            lo, seen = split, seen | bit
+        else:
+            hi = split
+        outcomes.append(outcome)
+    root = math.sqrt(cum[hi] - cum[lo])
+    support = {i: a / root for i, a in state._support.items() if (i >> shift) & block == seen}
+    return tuple(outcomes), _state(state.num_qubits, support)
 
 
 def measure_loop(state: StateVector, qubits, rng) -> tuple[tuple[int, ...], StateVector]:
