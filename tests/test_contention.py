@@ -19,7 +19,6 @@ before any work starts, in ``export-circuit`` too.
 import contextlib
 import itertools
 import math
-import os
 from functools import partial
 
 import numpy as np
@@ -27,7 +26,7 @@ import pytest
 from test_statevector import measure_sequence
 
 import entaccess.cli
-from entaccess import circuits, extraction, protocol, session, statevector
+from entaccess import _pool, circuits, extraction, protocol, session, statevector
 from entaccess.circuits import (
     MAX_END_NODES,
     LeaderAwareLayout,
@@ -165,21 +164,6 @@ class TestPinnedToTheStateWalk:
         assert run_contention(4, boundary_draws(0, math.nextafter(p0, 0.0))())[0] != 1
 
 
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two CPUs, and no cached worker pool before or after the test."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    close_pools()
-    yield
-    close_pools()
-
-
-def close_pools():
-    for _, pool in session._pools.values():
-        pool.shutdown()
-    session._pools.clear()
-
-
 def slot_winners(n, seed, trials):
     """The reference: each trial's winner, its stream sampled through ``sample_contention``."""
     return [sample_contention(n, rng)[0] for rng in RandomSource._for_trials(seed, trials)]
@@ -209,7 +193,7 @@ class TestBlockWinners:
         n, trials = 100, 2 * (_SEED_CHUNK + 300)
         assert session._WINNER_BLOCK // n < _SEED_CHUNK < trials // 2
         work = partial(session._contention_winners, n, seed)
-        assert session._per_trial(work, trials, jobs) == slot_winners(n, seed, range(trials))
+        assert _pool.per_trial(work, trials, jobs) == slot_winners(n, seed, range(trials))
 
     def test_one_row_at_a_time_past_the_block(self):
         n = 200_000  # over _WINNER_BLOCK, so each trial is a matrix of one row
@@ -358,14 +342,10 @@ class TestEndNodeLimit:
         ],
         ids=lambda c: c[0],
     )
-    def test_cli_exits_1_without_a_pool(self, monkeypatch, capsys, command):
-        monkeypatch.setattr(session.os, "cpu_count", lambda: 2)
-        for _, pool in session._pools.values():
-            pool.shutdown()
-        session._pools.clear()
+    def test_cli_exits_1_without_a_pool(self, two_cpus, capsys, command):
         argv = [*command, "--n", str(MAX_END_NODES + 1), "--seed", "1"]
         assert entaccess.cli.main(argv) == 1
         out, err = capsys.readouterr()
         assert out == ""
         assert f"over the limit of {MAX_END_NODES}" in err
-        assert not session._pools
+        assert not _pool._pools

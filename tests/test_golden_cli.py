@@ -33,19 +33,22 @@ those, ``session_n64_jsonl``, the two ``wide_seed`` files and
 workers, with unequal blocks where the trial count is not a multiple of
 three), against the same file, so the process-pool path is pinned to the
 serial output. To regenerate a file, run the invocation with
-``python -m entaccess`` and redirect stdout. The CI workflow's
-console-script step diffs the same invocations through the installed
-``entaccess`` script, and a test here keeps its list and ``INVOCATIONS`` in
-step.
+``python -m entaccess`` and redirect stdout. Run as a script
+(``python tests/test_golden_cli.py``), this file checks every invocation
+through the installed ``entaccess`` console script, each of
+``SEEDED_TRIALS`` also at ``--jobs 2`` and ``--jobs 4``, by the same
+comparison; the CI workflow's console-script step runs it so.
 """
 
-import os
+import difflib
 import re
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-import entaccess.session
 from entaccess.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -76,16 +79,6 @@ INVOCATIONS = {
 
 SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)
 
-WORKFLOW = Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml"
-# The workflow's console-script step diffs every invocation but this one, whose
-# max_deviation is float noise that only a value comparison forgives.
-CI_SKIPPED = {"anonymity_n4"}
-# A workflow line that runs a golden invocation under another spelling.
-CI_ALIASES = {
-    "session --n 4 --seed 7 --trials 50 --slots downlink,uplink --format jsonl": "session_n4_du",
-}
-_CI_DIFF = re.compile(r"entaccess (.+?)(?: --jobs \d+)? \| diff - tests/golden/(\w+)\.txt")
-
 _DEVIATION = re.compile(r'"max_deviation": ([^,}]+)')
 
 
@@ -94,16 +87,25 @@ def _stdout(capsys, argv: list[str]) -> str:
     return capsys.readouterr().out
 
 
+def _compared(name: str, out: str) -> tuple[str, str]:
+    """``out`` and golden file ``name``'s text, which must be equal.
+
+    In ``anonymity_n4`` each ``max_deviation`` is masked in the golden, and in
+    ``out`` where it is at most 1e-12, so only a larger one differs.
+    """
+    expected = (GOLDEN / f"{name}.txt").read_text()
+    if name != "anonymity_n4":
+        return out, expected
+
+    def mask(match: re.Match) -> str:
+        return '"max_deviation": _' if abs(float(match[1])) <= 1e-12 else match[0]
+
+    return _DEVIATION.sub(mask, out), _DEVIATION.sub('"max_deviation": _', expected)
+
+
 @pytest.mark.parametrize("name", sorted(INVOCATIONS))
 def test_matches_golden_output(capsys, name):
-    out = _stdout(capsys, INVOCATIONS[name].split())
-    expected = (GOLDEN / f"{name}.txt").read_text()
-    if name == "anonymity_n4":
-        deviations = _DEVIATION.findall(out)
-        assert len(deviations) == len(_DEVIATION.findall(expected)) == 2
-        assert all(abs(float(value)) <= 1e-12 for value in deviations)
-        out = _DEVIATION.sub('"max_deviation": _', out)
-        expected = _DEVIATION.sub('"max_deviation": _', expected)
+    out, expected = _compared(name, _stdout(capsys, INVOCATIONS[name].split()))
     assert out == expected
 
 
@@ -113,44 +115,31 @@ def test_pool_matches_golden_output(capsys, name):
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
-@pytest.fixture
-def three_cpus(monkeypatch):
-    """Three CPUs, and the three-process pool closed after the test."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    yield
-    for _, pool in entaccess.session._pools.values():
-        pool.shutdown()
-    entaccess.session._pools.clear()
-
-
 @pytest.mark.parametrize("name", SEEDED_TRIALS)
 def test_three_process_pool_matches_golden_output(capsys, three_cpus, name):
     out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "3"])
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
 
-def _workflow_step(name: str) -> list[str]:
-    """The lines of the workflow step called ``name``, up to the next step."""
-    lines = WORKFLOW.read_text().splitlines()
-    start = lines.index(f"      - name: {name}") + 1
-    end = next(
-        (i for i in range(start, len(lines)) if lines[i].lstrip().startswith("- name:")),
-        len(lines),
-    )
-    return lines[start:end]
-
-
-def test_workflow_diffs_every_golden_invocation():
-    commands = [
-        line.strip()
-        for line in _workflow_step("Console script smoke check")
-        if line.strip().startswith("entaccess ")
+if __name__ == "__main__":
+    script = shutil.which("entaccess")
+    if script is None:
+        sys.exit("no entaccess console script on PATH")
+    runs = [(name, argv.split()) for name, argv in INVOCATIONS.items()]
+    runs += [
+        (name, [*INVOCATIONS[name].split(), "--jobs", jobs])
+        for name in SEEDED_TRIALS for jobs in ("2", "4")
     ]
-    diffed = set()
-    for command in commands:
-        match = _CI_DIFF.fullmatch(command)
-        assert match, f"not a golden diff: {command}"
-        argv, name = match.groups()
-        assert argv == INVOCATIONS.get(name) or CI_ALIASES.get(argv) == name, command
-        diffed.add(name)
-    assert diffed == set(INVOCATIONS) - CI_SKIPPED
+    failed = 0
+    for name, argv in runs:
+        done = subprocess.run([script, *argv], capture_output=True, text=True)
+        out, expected = _compared(name, done.stdout)
+        if done.returncode or out != expected:
+            failed += 1
+            print(f"FAIL: entaccess {' '.join(argv)} exited {done.returncode}", done.stderr)
+            sys.stdout.writelines(
+                difflib.unified_diff(expected.splitlines(True), out.splitlines(True),
+                                     f"golden/{name}.txt", "stdout")
+            )
+    print(f"{len(runs) - failed} of {len(runs)} invocations match their goldens")
+    sys.exit(1 if failed else 0)

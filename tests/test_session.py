@@ -26,6 +26,7 @@ from test_statevector import measure_sequence
 import entaccess.circuits
 import entaccess.protocol
 import entaccess.session
+from entaccess import _pool
 from entaccess.circuits import prepare_leader_aware
 from entaccess.protocol import ProtocolError, SlotType
 from entaccess.session import (
@@ -233,7 +234,7 @@ class TestRunSession:
 def test_rejects_negative_seed_before_starting_a_pool(two_cpus, experiment, jobs):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         experiment(jobs)
-    assert not entaccess.session._pools
+    assert not _pool._pools
 
 
 @pytest.mark.parametrize(
@@ -266,7 +267,7 @@ def test_rejects_zero_jobs(experiment):
 def test_rejects_non_integer_sizes_before_starting_a_pool(two_cpus, experiment, name, jobs):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         experiment(jobs)
-    assert not entaccess.session._pools
+    assert not _pool._pools
 
 
 def test_anonymity_rejects_non_integer_n():
@@ -339,32 +340,17 @@ def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
     raise AssertionError(f"process {pid} still exists after {timeout} s")
 
 
-def _close_pools() -> None:
-    for _, pool in entaccess.session._pools.values():
-        pool.shutdown()
-    entaccess.session._pools.clear()
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    """Two CPUs, and no cached worker pool before or after the test."""
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    _close_pools()
-    yield
-    _close_pools()
-
-
 # A process that builds a two-process pool, prints its worker's pid and then
 # exits, or waits to be killed.
 _POOL_OWNER = """
 import os, sys, time
-import entaccess.session
+from entaccess import _pool
 
 def pid(trials):
     return [os.getpid()] * len(trials)
 
 os.cpu_count = lambda: 2
-pids = set(entaccess.session._per_trial(pid, 4, 2)) - {os.getpid()}
+pids = set(_pool.per_trial(pid, 4, 2)) - {os.getpid()}
 print(*pids, flush=True)
 if sys.argv[1] == "wait":
     time.sleep(60)
@@ -374,7 +360,7 @@ if sys.argv[1] == "wait":
 class TestWorkerPool:
     @pytest.mark.parametrize("trials, block", [(16, 8), (7, 4)])
     def test_one_contiguous_block_per_worker(self, two_cpus, trials, block):
-        pids = entaccess.session._per_trial(_worker_pid, trials, 2)
+        pids = _pool.per_trial(_worker_pid, trials, 2)
         caller, worker = pids[0], pids[-1]
         assert caller == os.getpid()
         assert worker != caller
@@ -382,14 +368,14 @@ class TestWorkerPool:
 
     @pytest.mark.parametrize("jobs, blocks", [(1, [range(7)]), (2, [range(4), range(4, 7)])])
     def test_work_runs_ranges_of_trial_numbers(self, two_cpus, jobs, blocks):
-        got = entaccess.session._per_trial(_block, 7, jobs)
+        got = _pool.per_trial(_block, 7, jobs)
         assert list(dict.fromkeys(got)) == blocks
         assert all(type(block) is range for block in got)
 
     def test_successive_calls_reuse_the_workers(self, two_cpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        first = entaccess.session._per_trial(_worker_pid, 24, 3)
-        second = entaccess.session._per_trial(_worker_pid, 24, 3)
+        first = _pool.per_trial(_worker_pid, 24, 3)
+        second = _pool.per_trial(_worker_pid, 24, 3)
         assert first[:8] == [os.getpid()] * 8
         workers = set(first[8:])
         assert len(workers) == 2 and os.getpid() not in workers
@@ -397,12 +383,12 @@ class TestWorkerPool:
         assert second == first
 
     def test_new_worker_count_replaces_the_pool(self, two_cpus, monkeypatch):
-        old = set(entaccess.session._per_trial(_worker_pid, 16, 2)) - {os.getpid()}
+        old = set(_pool.per_trial(_worker_pid, 16, 2)) - {os.getpid()}
         # Held here, so that garbage collection cannot be what stops its workers.
-        old_pool = entaccess.session._pools[os.getpid()][1]
+        old_pool = _pool._pools[os.getpid()][1]
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        new = set(entaccess.session._per_trial(_worker_pid, 24, 3)) - {os.getpid()}
-        assert entaccess.session._pools[os.getpid()][1] is not old_pool
+        new = set(_pool.per_trial(_worker_pid, 24, 3)) - {os.getpid()}
+        assert _pool._pools[os.getpid()][1] is not old_pool
         assert len(old) == 1 and len(new) == 2
         assert not old & new
         for pid in old:
@@ -410,54 +396,54 @@ class TestWorkerPool:
                 os.kill(pid, 0)
 
     def test_dead_worker_fails_one_call_then_pool_restarts(self, two_cpus):
-        victim = entaccess.session._per_trial(_worker_pid, 16, 2)[-1]
+        victim = _pool.per_trial(_worker_pid, 16, 2)[-1]
         os.kill(victim, signal.SIGKILL)
         with pytest.raises(BrokenProcessPool):
-            entaccess.session._per_trial(_worker_pid, 16, 2)
-        assert not entaccess.session._pools
+            _pool.per_trial(_worker_pid, 16, 2)
+        assert not _pool._pools
         _wait_reaped(victim)
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
 
     def test_pool_of_another_pid_is_not_used(self, two_cpus, monkeypatch):
-        entaccess.session._per_trial(_worker_pid, 16, 2)
-        inherited = entaccess.session._pools[os.getpid()][1]
-        # Only the session module sees the new pid: multiprocessing, which
+        _pool.per_trial(_worker_pid, 16, 2)
+        inherited = _pool._pools[os.getpid()][1]
+        # Only the pool module sees the new pid: multiprocessing, which
         # checks parent pids when it joins workers, must still see the real one.
         child_os = SimpleNamespace(getpid=lambda: -1, cpu_count=os.cpu_count)
-        monkeypatch.setattr(entaccess.session, "os", child_os)
+        monkeypatch.setattr(_pool, "os", child_os)
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
-        assert entaccess.session._pools[-1][1] is not inherited
+        assert _pool._pools[-1][1] is not inherited
 
     def test_workers_capped_at_cpu_count(self, two_cpus):
-        pids = set(entaccess.session._per_trial(_worker_pid, 32, 64))
+        pids = set(_pool.per_trial(_worker_pid, 32, 64))
         assert len(pids) == 2 and os.getpid() in pids
-        workers, pool = entaccess.session._pools[os.getpid()]
+        workers, pool = _pool._pools[os.getpid()]
         assert workers == 2
         assert len(pool.procs) == 1  # the caller is the other one
 
     def test_unknown_cpu_count_runs_serially(self, two_cpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert set(entaccess.session._per_trial(_worker_pid, 4, 64)) == {os.getpid()}
-        assert not entaccess.session._pools
+        assert set(_pool.per_trial(_worker_pid, 4, 64)) == {os.getpid()}
+        assert not _pool._pools
 
     def test_worker_exception_reaches_the_caller(self, two_cpus):
         with pytest.raises(ProtocolError, match="^block from trial 8 failed$"):
-            entaccess.session._per_trial(_raise_in_worker, 16, 2)
-        assert not entaccess.session._pools
+            _pool.per_trial(_raise_in_worker, 16, 2)
+        assert not _pool._pools
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
 
     @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
     def test_caller_exception_discards_the_pool(self, two_cpus, exc_type):
-        entaccess.session._per_trial(_worker_pid, 16, 2)
-        old_pool = entaccess.session._pools[os.getpid()][1]
+        _pool.per_trial(_worker_pid, 16, 2)
+        old_pool = _pool._pools[os.getpid()][1]
         with pytest.raises(exc_type, match="the caller's block failed"):
-            entaccess.session._per_trial(partial(_raise_in_caller, exc_type), 16, 2)
-        assert not entaccess.session._pools
+            _pool.per_trial(partial(_raise_in_caller, exc_type), 16, 2)
+        assert not _pool._pools
         for proc in old_pool.procs:
             _wait_reaped(proc.pid)
         # A kept pool would hand this call the failed call's reply.
         work = partial(entaccess.session._run_trials, 3, DEFAULT_SLOT_PATTERN, 5)
-        assert entaccess.session._per_trial(work, 16, 2) == work(range(16))
+        assert _pool.per_trial(work, 16, 2) == work(range(16))
 
     @pytest.mark.parametrize("end", ["exit", "wait"])
     def test_no_worker_outlives_its_caller(self, end):
@@ -549,7 +535,7 @@ class TestTrialContext:
             ProtocolError, match=r"^seed 5, trial 8, slot 16: contention produced 2 winners$"
         ):
             run_session(SessionConfig(n=3, seed=5, trials=16), jobs=2)
-        assert not entaccess.session._pools
+        assert not _pool._pools
 
 
 class TestFairness:
@@ -678,7 +664,7 @@ def test_every_trial_of_every_seed_has_its_own_stream():
     first_draws = [
         draw
         for seed in range(4)
-        for draw in entaccess.session._per_trial(partial(first_draw, seed), 64, 1)
+        for draw in _pool.per_trial(partial(first_draw, seed), 64, 1)
     ]
     assert len(set(first_draws)) == len(first_draws)
 
