@@ -4,8 +4,9 @@ A slot chains contention, extraction, and teleportation. In uplink the
 winner transmits a payload qubit to the orchestrator; in downlink the
 orchestrator selects the payload addressed to the winner and sends it the
 other way. Either way, every end-node uploads exactly one two-bit report
-(losers pad with random dummies), so the traffic pattern itself reveals
-nothing about who won.
+(losers pad with random dummies), so the traffic's shape -- who sends how
+many bits to whom -- is the same whoever won. Its values are not: in
+downlink, a node that sees every message can narrow down the winner.
 """
 
 import json

@@ -4,7 +4,9 @@ Enumerate every measurement branch of a slot and condition on everything a
 losing node observes: its own contention outcome (0), the bit it measured
 off the GHZ state, the dummy it sent, and -- in downlink -- the three
 broadcast bits. The posterior over the winner identity stays uniform over
-the other end-nodes in every single case, so the protocol leaks nothing.
+the other end-nodes in every single case, so one loser alone learns nothing.
+That is the only observer checked here: in downlink, anyone who sees every
+message can narrow down the winner.
 """
 
 from entaccess import SlotType, anonymity_experiment, enumerate_slot_branches

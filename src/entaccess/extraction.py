@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from functools import reduce
 from itertools import cycle
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .statevector import (
     _BRANCH_EPS,
@@ -84,8 +84,7 @@ class PSequence:
         return (*range(a), *range(a + 1, b), *range(b + 1, len(self.bits)))
 
 
-@dataclass(frozen=True)
-class ExtractionResult:
+class ExtractionResult(NamedTuple):
     """Outcome of one extraction run.
 
     ``outcomes`` maps each loser index to its measurement bit; ``parity`` is

@@ -37,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -50,11 +50,10 @@ from .circuits import (
     prepare_ghz,
     prepare_leader_aware,
 )
-from .extraction import build_p_sequence, extract_epr
+from .extraction import build_p_sequence, extract_epr, parity_correct
 from .statevector import (
     HADAMARD,
     PAULI_X,
-    PAULI_Z,
     _BRANCH_EPS,
     RandomSource,
     StateVector,
@@ -108,8 +107,7 @@ class ContentionOutcome:
         return ORCHESTRATOR if self.slot_type is _UPLINK else self.winner
 
 
-@dataclass(frozen=True)
-class EndNodeReport:
+class EndNodeReport(NamedTuple):
     """The two bits every end-node uploads each slot."""
 
     g: int
@@ -118,12 +116,7 @@ class EndNodeReport:
     KIND = "report"
 
 
-# A report's four values, each built once and shared: a report is immutable.
-_REPORTS = {(g, q): EndNodeReport(g, q) for g in (0, 1) for q in (0, 1)}
-
-
-@dataclass(frozen=True)
-class OrchestratorBroadcast:
+class OrchestratorBroadcast(NamedTuple):
     """Downlink completion bits, sent unaddressed so they name no receiver."""
 
     q_star: int
@@ -133,8 +126,7 @@ class OrchestratorBroadcast:
     KIND = "broadcast"
 
 
-@dataclass(frozen=True)
-class ClassicalMessage:
+class ClassicalMessage(NamedTuple):
     sender: int
     recipient: int | None  # None means broadcast
     payload: EndNodeReport | OrchestratorBroadcast
@@ -158,7 +150,7 @@ class SlotReport:
                 "from": m.sender,
                 "to": "broadcast" if m.recipient is None else m.recipient,
                 "type": m.payload.KIND,
-                **vars(m.payload),
+                **m.payload._asdict(),
             }
             for m in self.messages
         ]
@@ -183,7 +175,7 @@ def message_shape(messages: Sequence[ClassicalMessage]) -> tuple:
     slot type only, never of the winner; its sizes sum to the bits on the wire.
     """
     return tuple(
-        (m.sender, "broadcast" if m.recipient is None else m.recipient, len(vars(m.payload)))
+        (m.sender, "broadcast" if m.recipient is None else m.recipient, len(m.payload))
         for m in messages
     )
 
@@ -203,11 +195,9 @@ def slot_messages(
 ) -> tuple[ClassicalMessage, ...]:
     """Each ``node: (g, q)`` report, addressed to the orchestrator; then, in downlink,
     the orchestrator's broadcast, unaddressed so that it names no receiver.
-
-    ``g`` and ``q`` are bits, so each report is one of the four ``_REPORTS``.
     """
     messages = [
-        ClassicalMessage(node, ORCHESTRATOR, _REPORTS[bits]) for node, bits in reports.items()
+        ClassicalMessage(node, ORCHESTRATOR, EndNodeReport(*bits)) for node, bits in reports.items()
     ]
     if slot_type is SlotType.DOWNLINK:
         broadcast = OrchestratorBroadcast(q_star, g_star, parity)
@@ -337,6 +327,8 @@ def sample_ancillas(winner: int, n: int, rng: RandomSource) -> tuple[int, ...]:
 
 def decode_ancilla(ancilla: Sequence[int], n: int) -> int:
     """Winner identity from the ancilla readout: 1 + sum of a_j * 2^j."""
+    if not {*ancilla} <= {0, 1}:
+        raise ValueError(f"ancilla readout {tuple(ancilla)} holds an entry that is not a bit")
     winner = 1 + sum(bit << j for j, bit in enumerate(ancilla))
     if winner > n:
         raise ValueError(
@@ -387,9 +379,7 @@ def teleport_receive(
     """
     if g_star:
         state = apply_single(state, epr_qubit, PAULI_X)
-    if q_star ^ parity:
-        state = apply_single(state, epr_qubit, PAULI_Z)
-    return state
+    return parity_correct(state, q_star ^ parity, epr_qubit)
 
 
 def _payloads_for(

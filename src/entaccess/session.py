@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -310,8 +311,7 @@ def fairness_experiment(n: int, trials: int, seed: int, jobs: int = 1) -> Fairne
     return FairnessResult(config.n, config.trials, config.seed, histogram)
 
 
-@dataclass(frozen=True)
-class SlotBranch:
+class SlotBranch(NamedTuple):
     """One complete measurement branch of a slot, with its joint probability."""
 
     probability: float
@@ -451,6 +451,8 @@ def anonymity_experiment(n: int) -> AnonymityReport:
 
 def collect_traffic_shapes(n: int, slot_type: SlotType) -> dict[int, set[tuple]]:
     """Observed message shapes keyed by winner, scanning seeds until all n winners appear."""
+    if end_node_count(n) > _TRAFFIC_MAX_SEEDS:
+        raise ValueError(f"n={n} is above the {_TRAFFIC_MAX_SEEDS} seeds scanned for its winners")
     shapes: dict[int, set[tuple]] = {}
     for seed in range(_TRAFFIC_MAX_SEEDS):
         report = run_slot(n, slot_type, None, RandomSource(seed))

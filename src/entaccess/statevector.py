@@ -521,14 +521,14 @@ def enumerate_branches(
 ) -> list[tuple[tuple[int, ...], float, StateVector]]:
     """All joint computational-basis branches over ``qubits``, zero-probability ones omitted.
 
-    ``bases`` names each qubit's basis, so it is as long as ``qubits``.
+    ``bases`` names each qubit's basis, ``Basis.COMPUTATIONAL`` for every one.
     Returns (outcome bit-vector, probability, post-state) triples; the
     probabilities of the returned branches sum to 1.
     """
     if len(set(qubits)) != len(qubits):
         raise ValueError("qubits must be distinct")
-    if len(bases) != len(qubits):
-        raise ValueError("one basis per measured qubit required")
+    if list(bases) != [Basis.COMPUTATIONAL] * len(qubits):
+        raise ValueError("one basis per measured qubit required, each Basis.COMPUTATIONAL")
     branches: list[tuple[tuple[int, ...], float, StateVector]] = [((), 1.0, state)]
     for qubit in qubits:
         expanded = []

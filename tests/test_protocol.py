@@ -201,6 +201,14 @@ class TestDecodeAncilla:
         with pytest.raises(ValueError, match="decodes to node 4"):
             decode_ancilla((1, 1), 3)
 
+    @pytest.mark.parametrize("ancilla", [(1, -1), (2,)])
+    def test_rejects_entries_that_are_not_bits(self, ancilla):
+        # (1, -1) would decode to the orchestrator, (2,) to node 3
+        with pytest.raises(ValueError, match="not a bit"):
+            decode_ancilla(ancilla, 4)
+        with pytest.raises(ProtocolError, match="not a bit"):
+            check_ancilla(ancilla, 4, 1)
+
     @pytest.mark.parametrize("n", range(2, 9))
     def test_consistent_with_contention(self, n):
         # Ancilla readout names the contention winner in every branch.
@@ -256,6 +264,11 @@ class TestTeleportSend:
 
 
 class TestTeleportReceive:
+    def test_rejects_parity_that_is_not_a_bit(self):
+        (_, _, post), *_ = _teleport_branches(StateVector.qubit(0.6, 0.8j), 0)
+        with pytest.raises(ValueError, match="parity must be a bit"):
+            teleport_receive(post, 2, 0, 0, 2)
+
     def test_no_correction_branch(self):
         payload = StateVector.qubit(0.6, 0.8j)
         for outcomes, _, post in _teleport_branches(payload, 0):

@@ -772,3 +772,12 @@ class TestTrafficShapes:
     def test_rejects_slot_type_strings(self):
         with pytest.raises(ValueError, match="'uplink'"):
             collect_traffic_shapes(3, "uplink")
+
+    def test_n_above_the_seed_count_runs_no_slot(self, monkeypatch):
+        # 512 seeds cannot show 513 winners, so no slot is worth running
+        def no_slot(*args):
+            raise AssertionError("run_slot called")
+
+        monkeypatch.setattr(entaccess.session, "run_slot", no_slot)
+        with pytest.raises(ValueError, match="512 seeds"):
+            collect_traffic_shapes(513, SlotType.UPLINK)

@@ -473,6 +473,11 @@ class TestEnumerateBranches:
         with pytest.raises(ValueError, match="one basis per measured qubit"):
             enumerate_branches(ghz(2), [0, 1], [Basis.COMPUTATIONAL] * bases)
 
+    @pytest.mark.parametrize("basis", ["hadamard", None])
+    def test_only_the_computational_basis(self, basis):
+        with pytest.raises(ValueError, match="one basis per measured qubit"):
+            enumerate_branches(ghz(2), [0], [basis])
+
 
 class TestFidelity:
     def test_self_overlap(self):
