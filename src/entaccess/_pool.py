@@ -9,7 +9,8 @@ call makes one pipe round trip per worker. The processes are capped at the
 CPU count; the workers are forked (the ``fork`` start method, so not on
 Windows) on the first parallel call and kept for the life of the process,
 and being forked then, they do not see module functions monkeypatched
-later.
+later. Every forked child, a worker too, closes its copies of the caller's
+pipe ends and starts with no workers, so the caller's death ends them all.
 """
 
 from __future__ import annotations
@@ -25,17 +26,30 @@ from .statevector import as_int
 
 T = TypeVar("T")
 
+# This process's workers and its ends of their pipes, in the same order.
+_procs: list[multiprocessing.process.BaseProcess] = []
+_conns: list[Connection] = []
 
-def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
+
+def _forget() -> None:
+    """Close this process's ends of its workers' pipes and forget them; every fork runs it."""
+    # multiprocessing's own table too: a child's exit handler would terminate them.
+    multiprocessing.process._children.difference_update(_procs)
+    for conn in _conns:
+        conn.close()
+    _conns.clear()
+    _procs.clear()
+
+
+os.register_at_fork(after_in_child=_forget)
+
+
+def _serve(conn: Connection) -> None:
     """A pool worker's loop: run each ``(work, block)`` that arrives, send back its rows.
 
-    It closes the parent's ends of every pipe it inherited, so that when the
-    caller dies nothing else holds them open and ``recv`` ends in EOF. It
-    ignores SIGINT: a Ctrl-C reaches the caller, which stops the workers.
+    It ignores SIGINT: a Ctrl-C reaches the caller, which stops the workers.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for end in parent_ends:
-        end.close()
     while True:
         try:
             work, block = conn.recv()
@@ -51,67 +65,55 @@ def _serve(conn: Connection, parent_ends: list[Connection]) -> None:
             return
 
 
-class _Pool:
-    """Forked workers, each joined to the caller by one pipe; the caller runs block 0."""
+def _start(workers: int) -> None:
+    """Fork ``workers - 1`` workers, each joined to the caller by one pipe."""
+    context = multiprocessing.get_context("fork")
+    try:
+        for _ in range(workers - 1):
+            parent_end, child_end = context.Pipe()
+            _conns.append(parent_end)
+            proc = context.Process(target=_serve, args=(child_end,), daemon=True)
+            proc.start()
+            child_end.close()
+            _procs.append(proc)
+    except BaseException:
+        _stop(kill=True)
+        raise
 
-    def __init__(self, workers: int) -> None:
-        context = multiprocessing.get_context("fork")
-        inherited = [end for _, pool in _pools.values() for end in pool.conns]
-        self.conns: list[Connection] = []
-        self.procs: list[multiprocessing.process.BaseProcess] = []
+
+def _map(work: Callable[[range], list[T]], blocks: list[range]) -> list[list[T]]:
+    """``work`` over ``blocks``, one per process: the lists in block order.
+
+    Sends blocks 1..k to the workers first, then runs block 0 here, then
+    reads the workers' lists. An exception a worker's block raised is
+    raised here; a worker gone raises ``BrokenProcessPool``.
+    """
+    conns = _conns[:len(blocks) - 1]
+    try:
+        for conn, block in zip(conns, blocks[1:]):
+            conn.send((work, block))
+    except OSError as exc:
+        raise BrokenProcessPool("a pool worker has gone") from exc
+    results = [work(blocks[0])]
+    for conn in conns:
         try:
-            for _ in range(workers - 1):
-                parent_end, child_end = context.Pipe()
-                self.conns.append(parent_end)
-                proc = context.Process(
-                    target=_serve, args=(child_end, inherited + self.conns), daemon=True
-                )
-                proc.start()
-                child_end.close()
-                self.procs.append(proc)
-        except BaseException:
-            self.shutdown(kill=True)
-            raise
-
-    def map(self, work: Callable[[range], list[T]], blocks: list[range]) -> list[list[T]]:
-        """``work`` over ``blocks``, one per process: the lists in block order.
-
-        Sends blocks 1..k to the workers first, then runs block 0 here, then
-        reads the workers' lists. An exception a worker's block raised is
-        raised here; a worker gone raises ``BrokenProcessPool``.
-        """
-        conns = self.conns[:len(blocks) - 1]
-        try:
-            for conn, block in zip(conns, blocks[1:]):
-                conn.send((work, block))
-        except OSError as exc:
+            ok, value = conn.recv()
+        except (EOFError, OSError) as exc:
             raise BrokenProcessPool("a pool worker has gone") from exc
-        results = [work(blocks[0])]
-        for conn in conns:
-            try:
-                ok, value = conn.recv()
-            except (EOFError, OSError) as exc:
-                raise BrokenProcessPool("a pool worker has gone") from exc
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-
-    def shutdown(self, kill: bool = False) -> None:
-        """Close the pipes and join the workers, which then read EOF; ``kill`` stops them first."""
-        for conn in self.conns:
-            conn.close()
-        for proc in self.procs:
-            if kill:
-                proc.terminate()
-            proc.join()
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
-# Worker count and pool that per_trial keeps for the life of each process,
-# keyed by the pid that created it. A forked child finds its parent's pool
-# under another pid and leaves it alone: its pipes lead to the parent's
-# workers, whose replies the parent reads.
-_pools: dict[int, tuple[int, _Pool]] = {}
+def _stop(kill: bool = False) -> None:
+    """Close the pipes and join the workers, which then read EOF; ``kill`` stops them first."""
+    procs = _procs[:]
+    _forget()
+    for proc in procs:
+        if kill:
+            proc.terminate()
+        proc.join()
 
 
 def per_trial(work: Callable[[range], list[T]], trials: int, jobs: int) -> list[T]:
@@ -127,12 +129,12 @@ def per_trial(work: Callable[[range], list[T]], trials: int, jobs: int) -> list[
 
     The workers are forked on first use and kept for the process: later
     calls with the same worker count reuse them, another count replaces
-    them, and a pool inherited from a parent process is never used. They
-    therefore run ``work`` as the module stood when they were forked, not
-    under later monkeypatches. Any exception inside a call, a worker's
-    (raised here with its type and message), the caller's own or a
-    ``KeyboardInterrupt``, stops the workers and drops the pool, so no later
-    call reads a stale reply. A worker gone raises ``BrokenProcessPool``.
+    them, and a forked child starts with none and closes its copies of the
+    parent's pipes. They therefore run ``work`` as the module stood when
+    they were forked, not under later monkeypatches. Any exception inside a
+    call, a worker's (raised here with its type and message), the caller's
+    own or a ``KeyboardInterrupt``, stops the workers and drops them, so no
+    later call reads a stale reply. A worker gone raises ``BrokenProcessPool``.
     """
     jobs = as_int("jobs", jobs)
     if jobs < 1:
@@ -145,16 +147,11 @@ def per_trial(work: Callable[[range], list[T]], trials: int, jobs: int) -> list[
     # would only add a round trip.
     size = -(-trials // workers)
     blocks = [numbers[i:i + size] for i in range(0, trials, size)]
-    pid = os.getpid()
-    cached = _pools.get(pid)
-    if cached is None or cached[0] != workers:
-        if cached is not None:
-            del _pools[pid]
-            cached[1].shutdown()
-        cached = _pools[pid] = (workers, _Pool(workers))
+    if len(_procs) != workers - 1:
+        _stop()
+        _start(workers)
     try:
-        return [result for block in cached[1].map(work, blocks) for result in block]
+        return [result for block in _map(work, blocks) for result in block]
     except BaseException:
-        del _pools[pid]
-        cached[1].shutdown(kill=True)
+        _stop(kill=True)
         raise

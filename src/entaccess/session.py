@@ -72,6 +72,12 @@ _WINNER_BLOCK = 1 << 16
 # grow about 2.2x per end-node (98,304 branches and 68 MB at n=12).
 MAX_ORACLE_N = 8
 
+# Largest session, in end-node slots: it keeps every slot's record, which
+# weighs about as much as n + 4 end-nodes. `session --format jsonl` peaks at
+# 38 MB plus 0.46 kB per end-node slot (peak RSS, n from 4 to 250,000): 0.95 GB
+# at the limit.
+MAX_SESSION_NODE_SLOTS = 2_000_000
+
 
 def _chisquare(counts: list[int]) -> tuple[float, float]:
     """(statistic, p-value) of ``counts`` against the uniform distribution."""
@@ -203,8 +209,16 @@ def run_session(config: SessionConfig, jobs: int = 1) -> tuple[SessionStats, lis
     trial order, so the output does not depend on the worker count. The
     seed is bound into each block's work, and trial ``t`` draws from
     ``RandomSource((seed, t))``: the streams of all trials of all seeds are
-    independent.
+    independent. A session of more than ``MAX_SESSION_NODE_SLOTS``,
+    ``trials * len(slots) * (n + 4)``, raises ``ValueError`` before any
+    trial runs.
     """
+    size = config.trials * len(config.slots) * (config.n + 4)
+    if size > MAX_SESSION_NODE_SLOTS:
+        raise ValueError(
+            f"session of {size} end-node slots (trials x slots x (n + 4)) is over the "
+            f"limit of {MAX_SESSION_NODE_SLOTS}: it keeps every slot's record in memory"
+        )
     rows = per_trial(
         partial(_run_trials, config.n, config.slots, config.seed), config.trials, jobs
     )
@@ -235,7 +249,7 @@ def _aggregate(config: SessionConfig, rows: list[SlotRow]) -> SessionStats:
         slot_counts={st: sum(hist.values()) for st, hist in winner_hist.items()},
         winner_hist=winner_hist,
         fidelity_min=min(fidelities),
-        fidelity_mean=sum(fidelities) / len(fidelities),
+        fidelity_mean=math.fsum(fidelities) / len(fidelities),  # the same on every Python
         fidelity_max=max(fidelities),
         classical_bits=classical_bits,
         traffic_uniform=all(len(s) <= 1 for s in shapes.values()),

@@ -10,16 +10,9 @@ from entaccess import _pool
 
 def _cpus(monkeypatch, count: int):
     monkeypatch.setattr(os, "cpu_count", lambda: count)
-    _close_pools()
+    _pool._stop()
     yield
-    _close_pools()
-
-
-def _close_pools() -> None:
-    """Shut down every cached worker pool and forget it."""
-    for _, pool in _pool._pools.values():
-        pool.shutdown()
-    _pool._pools.clear()
+    _pool._stop()
 
 
 @pytest.fixture

@@ -7,9 +7,12 @@ from pathlib import Path
 
 import pytest
 
+import entaccess.session
+from entaccess import _pool
 from entaccess.circuits import circuit_text
 from entaccess.cli import main
 from entaccess.protocol import decode_ancilla
+from entaccess.session import MAX_SESSION_NODE_SLOTS
 
 
 def run_cli(capsys, argv):
@@ -88,6 +91,18 @@ class TestSession:
         assert lines[0] == "slot_type,winner,count"
         counts = [int(ln.split(",")[2]) for ln in lines[1:]]
         assert sum(counts) == 10
+
+    def test_over_memory_budget_exits_1_without_a_pool(self, two_cpus, capsys, monkeypatch):
+        def per_trial(*args):  # a session this size would exhaust memory
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(entaccess.session, "per_trial", per_trial)
+        argv = ["session", "--n", "1000000", "--seed", "1", "--trials", "8", "--jobs", "2"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert f"over the limit of {MAX_SESSION_NODE_SLOTS}: it keeps every slot's record" in err
+        assert not _pool._procs and not _pool._conns
 
     def test_custom_slot_pattern(self, capsys):
         code, out, _ = run_cli(

@@ -348,4 +348,4 @@ class TestEndNodeLimit:
         out, err = capsys.readouterr()
         assert out == ""
         assert f"over the limit of {MAX_END_NODES}" in err
-        assert not _pool._pools
+        assert not _pool._procs and not _pool._conns

@@ -32,10 +32,12 @@ those, ``session_n64_jsonl``, the two ``wide_seed`` files and
 ``--jobs 2``, and with ``--jobs 3`` on three CPUs (the caller and two
 workers, with unequal blocks where the trial count is not a multiple of
 three), against the same file, so the process-pool path is pinned to the
-serial output. To regenerate a file, run the invocation with
+serial output. ``ALIASES`` spells some invocations another way (long
+slot names, ``--out`` as a format, a default format named) and checks them
+against the same files. To regenerate a file, run the invocation with
 ``python -m entaccess`` and redirect stdout. Run as a script
 (``python tests/test_golden_cli.py``), this file checks every invocation
-through the installed ``entaccess`` console script, each of
+and alias through the installed ``entaccess`` console script, each of
 ``SEEDED_TRIALS`` also at ``--jobs 2`` and ``--jobs 4``, by the same
 comparison; the CI workflow's console-script step runs it so.
 """
@@ -79,6 +81,13 @@ INVOCATIONS = {
 
 SEEDED_TRIALS = sorted(name for name, argv in INVOCATIONS.items() if "--trials" in argv)
 
+# Other spellings of golden invocations, each with the golden file it must print.
+ALIASES = [
+    ("session --n 4 --seed 7 --trials 50 --slots downlink,uplink --format jsonl", "session_n4_du"),
+    ("session --n 4 --seed 7 --trials 50 --slots du --out jsonl", "session_n4_du"),
+    ("fairness --n 8 --seed 5 --trials 500 --format json", "fairness_n8"),
+]
+
 _DEVIATION = re.compile(r'"max_deviation": ([^,}]+)')
 
 
@@ -109,6 +118,11 @@ def test_matches_golden_output(capsys, name):
     assert out == expected
 
 
+@pytest.mark.parametrize("argv, name", ALIASES)
+def test_alias_matches_golden_output(capsys, argv, name):
+    assert _stdout(capsys, argv.split()) == (GOLDEN / f"{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("name", SEEDED_TRIALS)
 def test_pool_matches_golden_output(capsys, name):
     out = _stdout(capsys, [*INVOCATIONS[name].split(), "--jobs", "2"])
@@ -126,6 +140,7 @@ if __name__ == "__main__":
     if script is None:
         sys.exit("no entaccess console script on PATH")
     runs = [(name, argv.split()) for name, argv in INVOCATIONS.items()]
+    runs += [(name, argv.split()) for argv, name in ALIASES]
     runs += [
         (name, [*INVOCATIONS[name].split(), "--jobs", jobs])
         for name in SEEDED_TRIALS for jobs in ("2", "4")

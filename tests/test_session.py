@@ -13,7 +13,6 @@ import time
 from concurrent.futures.process import BrokenProcessPool
 from functools import partial
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -27,11 +26,13 @@ import entaccess.circuits
 import entaccess.protocol
 import entaccess.session
 from entaccess import _pool
-from entaccess.circuits import prepare_leader_aware
+from entaccess.circuits import MAX_END_NODES, prepare_leader_aware
 from entaccess.protocol import ProtocolError, SlotType
 from entaccess.session import (
     DEFAULT_SLOT_PATTERN,
+    MAX_SESSION_NODE_SLOTS,
     SessionConfig,
+    _aggregate,
     _chi2_sf,
     _chisquare,
     anonymity_experiment,
@@ -174,6 +175,35 @@ class TestRunSession:
         assert stats.fidelity_min >= 1.0 - 1e-10
         assert stats.fidelity_max <= 1.0 + 1e-10
 
+    def test_over_memory_budget_raises_before_any_trial(self, monkeypatch):
+        def per_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(entaccess.session, "per_trial", per_trial)
+        config = SessionConfig(n=MAX_END_NODES, seed=0, trials=2)
+        with pytest.raises(ValueError, match=f"over the limit of {MAX_SESSION_NODE_SLOTS}:"):
+            run_session(config, jobs=2)
+
+    def test_memory_budget_counts_trials_slots_and_end_nodes(self, monkeypatch):
+        monkeypatch.setattr(entaccess.session, "MAX_SESSION_NODE_SLOTS", 10)
+        uplink = (SlotType.UPLINK,)
+        _, records = run_session(SessionConfig(n=1, seed=0, slots=uplink, trials=2))  # 2 x 1 x 5
+        assert len(records) == 2
+        with pytest.raises(ValueError, match=r"^session of 15 end-node slots \(trials x slots"):
+            run_session(SessionConfig(n=1, seed=0, slots=uplink, trials=3))
+        with pytest.raises(ValueError, match=r"^session of 12 end-node slots"):
+            run_session(SessionConfig(n=2, seed=0, slots=uplink * 2, trials=1))
+
+    def test_fidelity_mean_correctly_rounded(self):
+        # Python 3.11's sum gives 1.0 here and 3.12's compensated sum does not.
+        fidelities = [1.0, 1.0000000000000002, 1.0000000000000002]
+        rows = [
+            ({"slot_type": "uplink", "winner": 1, "fidelity": f}, (("a", "b", 1),))
+            for f in fidelities
+        ]
+        config = SessionConfig(n=2, seed=0, slots=(SlotType.UPLINK,), trials=3)
+        assert _aggregate(config, rows).fidelity_mean == 1.0000000000000002
+
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_chi_square_read_from_histogram(self, n, jobs):
@@ -234,7 +264,7 @@ class TestRunSession:
 def test_rejects_negative_seed_before_starting_a_pool(two_cpus, experiment, jobs):
     with pytest.raises(ValueError, match="seed must be a non-negative integer"):
         experiment(jobs)
-    assert not _pool._pools
+    assert not _pool._procs and not _pool._conns
 
 
 @pytest.mark.parametrize(
@@ -267,7 +297,7 @@ def test_rejects_zero_jobs(experiment):
 def test_rejects_non_integer_sizes_before_starting_a_pool(two_cpus, experiment, name, jobs):
     with pytest.raises(ValueError, match=f"{name} must be an integer"):
         experiment(jobs)
-    assert not _pool._pools
+    assert not _pool._procs and not _pool._conns
 
 
 def test_anonymity_rejects_non_integer_n():
@@ -341,7 +371,8 @@ def _wait_reaped(pid: int, timeout: float = 10.0) -> None:
 
 
 # A process that builds a two-process pool, prints its worker's pid and then
-# exits, or waits to be killed.
+# exits, or waits to be killed; with "fork", it first forks a child that
+# sleeps on and prints that child's pid.
 _POOL_OWNER = """
 import os, sys, time
 from entaccess import _pool
@@ -352,9 +383,44 @@ def pid(trials):
 os.cpu_count = lambda: 2
 pids = set(_pool.per_trial(pid, 4, 2)) - {os.getpid()}
 print(*pids, flush=True)
-if sys.argv[1] == "wait":
+if sys.argv[1] == "fork":
+    child = os.fork()
+    if not child:
+        time.sleep(60)
+        os._exit(0)
+    print(child, flush=True)
+if sys.argv[1] != "exit":
     time.sleep(60)
 """
+
+# A process whose forked child finds no workers, builds its own and leaves
+# through the interpreter's exit, after which the parent's pool still serves it.
+_FORKING_OWNER = """
+import os, sys
+from entaccess import _pool
+
+def pid(trials):
+    return [os.getpid()] * len(trials)
+
+os.cpu_count = lambda: 2
+workers = set(_pool.per_trial(pid, 4, 2)) - {os.getpid()}
+child = os.fork()
+if not child:
+    assert not _pool._procs and not _pool._conns
+    own = set(_pool.per_trial(pid, 4, 2)) - {os.getpid()}
+    assert len(own) == 1 and not own & workers
+    sys.exit()
+assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
+assert set(_pool.per_trial(pid, 4, 2)) - {os.getpid()} == workers
+"""
+
+
+def _src_env() -> dict[str, str]:
+    """This environment, with the package's source directory first on ``PYTHONPATH``."""
+    env = dict(os.environ)
+    src = str(Path(entaccess.session.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
 
 
 class TestWorkerPool:
@@ -385,10 +451,10 @@ class TestWorkerPool:
     def test_new_worker_count_replaces_the_pool(self, two_cpus, monkeypatch):
         old = set(_pool.per_trial(_worker_pid, 16, 2)) - {os.getpid()}
         # Held here, so that garbage collection cannot be what stops its workers.
-        old_pool = _pool._pools[os.getpid()][1]
+        old_procs = list(_pool._procs)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         new = set(_pool.per_trial(_worker_pid, 24, 3)) - {os.getpid()}
-        assert _pool._pools[os.getpid()][1] is not old_pool
+        assert not set(_pool._procs) & set(old_procs)
         assert len(old) == 1 and len(new) == 2
         assert not old & new
         for pid in old:
@@ -400,64 +466,65 @@ class TestWorkerPool:
         os.kill(victim, signal.SIGKILL)
         with pytest.raises(BrokenProcessPool):
             _pool.per_trial(_worker_pid, 16, 2)
-        assert not _pool._pools
+        assert not _pool._procs and not _pool._conns
         _wait_reaped(victim)
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
-
-    def test_pool_of_another_pid_is_not_used(self, two_cpus, monkeypatch):
-        _pool.per_trial(_worker_pid, 16, 2)
-        inherited = _pool._pools[os.getpid()][1]
-        # Only the pool module sees the new pid: multiprocessing, which
-        # checks parent pids when it joins workers, must still see the real one.
-        child_os = SimpleNamespace(getpid=lambda: -1, cpu_count=os.cpu_count)
-        monkeypatch.setattr(_pool, "os", child_os)
-        assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
-        assert _pool._pools[-1][1] is not inherited
 
     def test_workers_capped_at_cpu_count(self, two_cpus):
         pids = set(_pool.per_trial(_worker_pid, 32, 64))
         assert len(pids) == 2 and os.getpid() in pids
-        workers, pool = _pool._pools[os.getpid()]
-        assert workers == 2
-        assert len(pool.procs) == 1  # the caller is the other one
+        assert len(_pool._procs) == len(_pool._conns) == 1  # the caller is the other one
 
     def test_unknown_cpu_count_runs_serially(self, two_cpus, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert set(_pool.per_trial(_worker_pid, 4, 64)) == {os.getpid()}
-        assert not _pool._pools
+        assert not _pool._procs and not _pool._conns
 
     def test_worker_exception_reaches_the_caller(self, two_cpus):
         with pytest.raises(ProtocolError, match="^block from trial 8 failed$"):
             _pool.per_trial(_raise_in_worker, 16, 2)
-        assert not _pool._pools
+        assert not _pool._procs and not _pool._conns
         assert fairness_experiment(4, 64, 2, jobs=2) == fairness_experiment(4, 64, 2, jobs=1)
 
     @pytest.mark.parametrize("exc_type", [ValueError, KeyboardInterrupt])
     def test_caller_exception_discards_the_pool(self, two_cpus, exc_type):
         _pool.per_trial(_worker_pid, 16, 2)
-        old_pool = _pool._pools[os.getpid()][1]
+        old_procs = list(_pool._procs)
         with pytest.raises(exc_type, match="the caller's block failed"):
             _pool.per_trial(partial(_raise_in_caller, exc_type), 16, 2)
-        assert not _pool._pools
-        for proc in old_pool.procs:
+        assert not _pool._procs and not _pool._conns
+        for proc in old_procs:
             _wait_reaped(proc.pid)
         # A kept pool would hand this call the failed call's reply.
         work = partial(entaccess.session._run_trials, 3, DEFAULT_SLOT_PATTERN, 5)
         assert _pool.per_trial(work, 16, 2) == work(range(16))
 
-    @pytest.mark.parametrize("end", ["exit", "wait"])
+    @pytest.mark.parametrize("end", ["exit", "wait", "fork"])
     def test_no_worker_outlives_its_caller(self, end):
-        env = dict(os.environ)
-        src = str(Path(entaccess.session.__file__).parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         with subprocess.Popen(
-            [sys.executable, "-c", _POOL_OWNER, end], stdout=subprocess.PIPE, text=True, env=env
+            [sys.executable, "-c", _POOL_OWNER, end],
+            stdout=subprocess.PIPE, text=True, env=_src_env(),
         ) as owner:
             (worker,) = map(int, owner.stdout.readline().split())
-            if end == "wait":
+            other = int(owner.stdout.readline()) if end == "fork" else None
+            if end != "exit":
                 owner.kill()
             assert owner.wait(timeout=30) == (0 if end == "exit" else -signal.SIGKILL)
-        _wait_reaped(worker)
+        try:
+            _wait_reaped(worker)
+            if other is not None:
+                os.kill(other, 0)  # the forked child still lives
+        finally:
+            if other is not None:
+                os.kill(other, signal.SIGKILL)
+                _wait_reaped(other)
+
+    def test_forked_child_builds_its_own_pool(self):
+        done = subprocess.run(
+            [sys.executable, "-c", _FORKING_OWNER],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 _BUILTINS = {dict, list, tuple, str, int, float, type(None)}
@@ -535,7 +602,7 @@ class TestTrialContext:
             ProtocolError, match=r"^seed 5, trial 8, slot 16: contention produced 2 winners$"
         ):
             run_session(SessionConfig(n=3, seed=5, trials=16), jobs=2)
-        assert not _pool._pools
+        assert not _pool._procs and not _pool._conns
 
 
 class TestFairness:

@@ -634,6 +634,13 @@ class TestTrialSeeds:
         assert first.random() == RandomSource((1, 0)).random()
         assert len(list(sources)) == 3
 
+    @pytest.mark.parametrize("trials", [[2**32], [0, 2**32], [-1]])
+    def test_numpy_refuses_a_trial_past_one_word(self, trials):
+        # _trial_words takes its multi-word path on this error; numpy 1.x
+        # only warned and wrapped, drawing another trial's stream.
+        with pytest.raises(OverflowError):
+            np.array(trials, dtype=np.uint32)
+
     @pytest.mark.parametrize("trials", [[-1], [2**40, -1], [3, -2**40], range(-2, 2)])
     def test_negative_trial_rejected(self, trials):
         with pytest.raises(ValueError, match="non-negative"):
