@@ -11,30 +11,38 @@ Windows) on the first parallel call and kept for the life of the process,
 and being forked then, they do not see module functions monkeypatched
 later. Every forked child, a worker too, closes its copies of the caller's
 pipe ends and starts with no workers, so the caller's death ends them all.
+``multiprocessing`` is imported with the first workers, so a run that forks
+none never loads it.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import signal
-from concurrent.futures.process import BrokenProcessPool
-from multiprocessing.connection import Connection
-from typing import Callable, TypeVar
+import sys
+from typing import TYPE_CHECKING, Callable, TypeVar
 
-from .statevector import as_int
+from .statevector import _numpy_random, as_int
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
+    from multiprocessing.process import BaseProcess
 
 T = TypeVar("T")
 
 # This process's workers and its ends of their pipes, in the same order.
-_procs: list[multiprocessing.process.BaseProcess] = []
+_procs: list[BaseProcess] = []
 _conns: list[Connection] = []
 
 
 def _forget() -> None:
-    """Close this process's ends of its workers' pipes and forget them; every fork runs it."""
-    # multiprocessing's own table too: a child's exit handler would terminate them.
-    multiprocessing.process._children.difference_update(_procs)
+    """Close this process's ends of its workers' pipes and forget them; every fork runs it.
+
+    It imports nothing: with workers to forget, ``_start`` has loaded multiprocessing.
+    """
+    if _procs:
+        # multiprocessing's own table too: a child's exit handler would terminate them.
+        sys.modules["multiprocessing.process"]._children.difference_update(_procs)
     for conn in _conns:
         conn.close()
     _conns.clear()
@@ -66,7 +74,15 @@ def _serve(conn: Connection) -> None:
 
 
 def _start(workers: int) -> None:
-    """Fork ``workers - 1`` workers, each joined to the caller by one pipe."""
+    """Fork ``workers - 1`` workers, each joined to the caller by one pipe.
+
+    numpy's generators are loaded first: every block seeds them, and workers
+    forked after the caller loaded them share that copy rather than each
+    importing its own.
+    """
+    import multiprocessing
+
+    _numpy_random()
     context = multiprocessing.get_context("fork")
     try:
         for _ in range(workers - 1):
@@ -93,17 +109,24 @@ def _map(work: Callable[[range], list[T]], blocks: list[range]) -> list[list[T]]
         for conn, block in zip(conns, blocks[1:]):
             conn.send((work, block))
     except OSError as exc:
-        raise BrokenProcessPool("a pool worker has gone") from exc
+        raise _broken() from exc
     results = [work(blocks[0])]
     for conn in conns:
         try:
             ok, value = conn.recv()
         except (EOFError, OSError) as exc:
-            raise BrokenProcessPool("a pool worker has gone") from exc
+            raise _broken() from exc
         if not ok:
             raise value
         results.append(value)
     return results
+
+
+def _broken() -> Exception:
+    """The error for a worker gone; ``concurrent.futures`` is loaded only then."""
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool("a pool worker has gone")
 
 
 def _stop(kill: bool = False) -> None:

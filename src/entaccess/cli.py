@@ -37,18 +37,24 @@ FORMATS = ("json", "jsonl", "csv")
 _CHUNK_LINES = 4096
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
+def _int_at_least(least: int, text: str, error: str) -> int:
+    """``int(text)`` if it is at least ``least``; ``ArgumentTypeError(error)`` for
+    anything else, non-integer text included."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(error) from None
+    if value < least:
+        raise argparse.ArgumentTypeError(error)
     return value
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(0, text, "must be a non-negative integer")
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+    return _int_at_least(1, text, "must be a positive integer")
 
 
 def _slot_pattern(text: str) -> tuple[SlotType, ...]:

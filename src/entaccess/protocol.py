@@ -37,9 +37,7 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .circuits import (
     LeaderAwareLayout,
@@ -68,6 +66,9 @@ from .statevector import (
     measure,
     tensor_product,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 ORCHESTRATOR = 0
 
@@ -309,6 +310,8 @@ def winners(n: int, uniforms: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=1, typed=True)
 def _threshold_array(n: int) -> np.ndarray:
     """``contention_thresholds(n)`` as a read-only numpy array."""
+    import numpy as np
+
     array = np.array(contention_thresholds(n))
     array.flags.writeable = False
     return array

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-import numpy as np
-
 from ._pool import per_trial
 from .circuits import LeaderAwareLayout, end_node_count, prepare_ghz, prepare_leader_aware
 from .extraction import apply_up, build_p_sequence, loser_parity
@@ -291,6 +289,8 @@ def _contention_winners(n: int, seed: int, trials: range) -> list[int]:
     of at most ``_WINNER_BLOCK`` uniforms; ``winners`` then decides every row
     of the matrix in one comparison.
     """
+    import numpy as np
+
     generators = _trial_generators(seed, trials)
     draws = np.empty((max(1, min(len(trials), _WINNER_BLOCK // n)), n))
     found = []

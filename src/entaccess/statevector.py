@@ -22,6 +22,9 @@ Conventions:
   unchecked by ``_state``.
 - The dense view ``amplitudes`` refuses registers beyond
   ``MAX_DENSE_QUBITS`` before allocating anything.
+- numpy is imported inside the functions that use it, on first use: only
+  seeded draws and the dense view need it, so the branch oracle runs
+  without loading it.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 NORM_TOL = 1e-10      # norm / fidelity assertions
 UNITARY_TOL = 1e-12   # constant gate matrices
@@ -124,6 +128,8 @@ class StateVector:
     @property
     def amplitudes(self) -> np.ndarray:
         """Dense, read-only vector of all 2^n amplitudes, built on each access."""
+        import numpy as np
+
         n = self.num_qubits
         if n > MAX_DENSE_QUBITS:
             raise ValueError(
@@ -195,6 +201,8 @@ class RandomSource:
             base, trial = seed
             (gen,) = _trial_generators(self.check_seed(base), [self.check_seed(trial)])
         else:
+            import numpy as np
+
             gen = np.random.default_rng(self.check_seed(seed))
         self._draw_from(gen)
 
@@ -207,6 +215,8 @@ class RandomSource:
             yield rng
 
     def _draw_from(self, gen: np.random.Generator) -> None:
+        import numpy as np
+
         self._gen = gen
         blocks = map(np.ndarray.tolist, map(gen.random, repeat(_DRAW_BLOCK)))
         # the stream's own ``__next__``: a draw is one call into C, with no Python frame
@@ -240,6 +250,8 @@ def _hash_steps(init: int, mult: int, start: int, count: int) -> tuple[np.ndarra
 
     Step k xors with init·mult^k and multiplies by init·mult^(k+1), mod 2**32.
     """
+    import numpy as np
+
     c = init * pow(mult, start, 1 << 32)
     consts = []
     for _ in range(count + 1):
@@ -257,6 +269,8 @@ def _lane_hashes(steps: int, words: int) -> tuple[np.ndarray, np.ndarray]:
     Row j holds word j's steps, one per pool lane, and repeats them for the
     lanes' second round in ``_trial_words``.
     """
+    import numpy as np
+
     xor, mult = _hash_steps(_INIT_A, _MULT_A, steps, 4 * words)
     lanes = np.tile(xor.reshape(words, 4), 2), np.tile(mult.reshape(words, 4), 2)
     for c in lanes:
@@ -268,9 +282,10 @@ def _lane_hashes(steps: int, words: int) -> tuple[np.ndarray, np.ndarray]:
 def _numpy_random():
     """numpy's ``SeedSequence``, and a factory of PCG64 generators seeded with given words.
 
-    Imported on first use: importing the package leaves ``numpy.random``
+    Imported on first use, as numpy is: importing the package leaves numpy
     unloaded, since the oracle never draws.
     """
+    import numpy as np
     from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
@@ -299,6 +314,8 @@ def _trial_generators(seed: int, trials: Sequence[int]) -> Iterator[np.random.Ge
     checks; a ``range`` holds only integers, and its negative ones fail in
     ``_trial_words``.
     """
+    import numpy as np
+
     if not isinstance(trials, range):
         trials = [RandomSource.check_seed(t) for t in trials]
     seed_sequence, generator = _numpy_random()
@@ -322,6 +339,8 @@ def _trial_words(pool: np.ndarray, steps: int, trials: Sequence[int]) -> np.ndar
     hash then turns the lanes, read twice round, into eight 32-bit words,
     two to each uint64, low word first.
     """
+    import numpy as np
+
     try:
         columns = [np.array(trials, dtype=np.uint32)]
     except OverflowError:  # a trial of 2**32 or more, or a negative one, which check_seed rejects

@@ -138,26 +138,29 @@ def test_interpreter_exits_with_a_live_pool():
     assert done.stdout == (Path(__file__).parent / "golden" / "fairness_n8.txt").read_bytes()
 
 
-# Runs in a fresh interpreter: imports entaccess (and, given arguments, runs
-# the command line on them with stdout discarded), then prints whether any
-# part of scipy was loaded.
-_SCIPY_PROBE = """
-import contextlib, io, sys
+# Runs in a fresh interpreter: imports entaccess and its command line (and,
+# given arguments, runs it on them with stdout discarded, on two CPUs so that
+# ``--jobs 2`` forks), then prints which of the probed modules were loaded.
+_PROBED = ("scipy", "numpy", "multiprocessing")
+_PROBE = f"""
+import contextlib, io, os, sys
 import entaccess
+from entaccess.cli import main
+os.cpu_count = lambda: 2
 if sys.argv[1:]:
-    from entaccess.cli import main
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(sys.argv[1:]) == 0
-print("scipy" in sys.modules)
+print(*(name for name in {_PROBED!r} if name in sys.modules))
 """
 
 
-def _loads_scipy(argv: list[str]) -> bool:
+def _loaded(argv: list[str]) -> set[str]:
+    """The modules of ``_PROBED`` that importing the package and running ``argv`` load."""
     done = subprocess.run(
-        [sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", _PROBE, *argv], capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    return {"True\n": True, "False\n": False}[done.stdout]
+    return set(done.stdout.split())
 
 
 @pytest.mark.parametrize(
@@ -176,7 +179,7 @@ def _loads_scipy(argv: list[str]) -> bool:
          "session-csv", "fairness-csv"],
 )
 def test_output_without_chi_square_does_not_load_scipy(argv):
-    assert not _loads_scipy(argv.split())
+    assert "scipy" not in _loaded(argv.split())
 
 
 @pytest.mark.parametrize(
@@ -185,16 +188,43 @@ def test_output_without_chi_square_does_not_load_scipy(argv):
     ids=["session", "fairness"],
 )
 def test_output_with_chi_square_does_not_load_scipy(argv):
-    assert not _loads_scipy(argv.split())
+    assert "scipy" not in _loaded(argv.split())
 
 
-# Runs the command line in a fresh interpreter in which ``import scipy`` fails.
-_WITHOUT_SCIPY = """
+# Only a draw needs numpy, and only forked workers need multiprocessing.
+@pytest.mark.parametrize(
+    ("argv", "loaded"),
+    [
+        ("", set()),
+        ("anonymity --n 3", set()),
+        ("export-circuit --n 4", set()),
+        ("uplink --n 4 --seed 3", {"numpy"}),
+        ("elect --n 4 --seed 7", {"numpy"}),
+        ("session --n 4 --seed 1 --trials 5 --jobs 1", {"numpy"}),
+        ("fairness --n 4 --seed 1 --trials 100 --jobs 1", {"numpy"}),
+        ("fairness --n 4 --seed 1 --trials 100 --jobs 2", {"numpy", "multiprocessing"}),
+    ],
+    ids=["import", "anonymity", "export-circuit", "uplink", "elect", "session", "fairness",
+         "fairness-jobs2"],
+)
+def test_modules_each_command_loads(argv, loaded):
+    assert _loaded(argv.split()) == loaded
+
+
+# Runs the command line in a fresh interpreter in which importing the
+# module named first fails.
+_WITHOUT = """
 import sys
-sys.modules["scipy"] = None
+sys.modules[sys.argv.pop(1)] = None
 from entaccess.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def _run_without(module: str, argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, "-c", _WITHOUT, module, *argv.split()], capture_output=True, timeout=60
+    )
 
 
 @pytest.mark.parametrize(
@@ -206,9 +236,21 @@ sys.exit(main(sys.argv[1:]))
     ids=["fairness", "session"],
 )
 def test_chi_square_output_needs_no_scipy(argv, golden):
-    done = subprocess.run(
-        [sys.executable, "-c", _WITHOUT_SCIPY, *argv.split()], capture_output=True, timeout=60
-    )
+    done = _run_without("scipy", argv)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (Path(__file__).parent / "golden" / f"{golden}.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    ("argv", "golden"),
+    [
+        ("anonymity --n 2 --format csv", "anonymity_n2_csv"),
+        ("export-circuit --n 6", "export_circuit_n6"),
+    ],
+    ids=["anonymity", "export-circuit"],
+)
+def test_oracle_and_circuit_output_need_no_numpy(argv, golden):
+    done = _run_without("numpy", argv)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (Path(__file__).parent / "golden" / f"{golden}.txt").read_bytes()
 
@@ -293,6 +335,22 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["fairness", "--n", "0", "--trials", "10", "--seed", "1"])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--n 4.5 --seed 1", "argument --n: must be a positive integer"),
+            ("--n 4 --seed abc", "argument --seed: must be a non-negative integer"),
+        ],
+        ids=["n", "seed"],
+    )
+    def test_non_integer_text(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as err:
+            main(["session", *argv.split()])
+        assert err.value.code == 2
+        err_text = capsys.readouterr().err
+        assert message in err_text
+        assert "_int" not in err_text  # no helper's name
 
     def test_conflicting_out_and_format(self):
         with pytest.raises(SystemExit) as err:

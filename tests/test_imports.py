@@ -8,8 +8,8 @@ pinned, so that one it stops reading, or a new one, is seen.
 No linter is a dependency, so this parses each module of ``src/entaccess``
 (the package's re-exporting ``__init__.py`` aside) with ``ast``.
 
-Also here: importing the package and its command line loads no
-``numpy.random``, which only a seeded draw needs.
+Also here: importing the package and its command line loads neither numpy
+nor ``numpy.random``, which only a seeded draw or a dense view needs.
 """
 
 import ast
@@ -278,4 +278,4 @@ def test_import_leaves_numpy_random_unloaded():
     done = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
-    assert done.stdout.split() == ["True", "False"]
+    assert done.stdout.split() == ["False", "False"]

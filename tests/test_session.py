@@ -414,6 +414,20 @@ assert os.waitstatus_to_exitcode(os.waitpid(child, 0)[1]) == 0
 assert set(_pool.per_trial(pid, 4, 2)) - {os.getpid()} == workers
 """
 
+# A fresh process whose workers report whether they were forked with numpy's
+# generators already loaded, as the caller's own block needs them.
+_NUMPY_AT_FORK = """
+import os, sys
+from entaccess import _pool
+
+def loaded(trials):
+    return ["numpy.random" in sys.modules] * len(trials)
+
+os.cpu_count = lambda: 2
+assert "numpy" not in sys.modules
+print(*_pool.per_trial(loaded, 2, 2))
+"""
+
 
 def _src_env() -> dict[str, str]:
     """This environment, with the package's source directory first on ``PYTHONPATH``."""
@@ -525,6 +539,15 @@ class TestWorkerPool:
             capture_output=True, text=True, env=_src_env(), timeout=60,
         )
         assert done.returncode == 0, done.stderr
+
+    def test_workers_share_the_callers_numpy(self):
+        done = subprocess.run(
+            [sys.executable, "-c", _NUMPY_AT_FORK],
+            capture_output=True, text=True, env=_src_env(), timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        # the caller's block runs after the fork, so it too finds numpy loaded
+        assert done.stdout.split() == ["True", "True"]
 
 
 _BUILTINS = {dict, list, tuple, str, int, float, type(None)}
