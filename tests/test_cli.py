@@ -348,9 +348,7 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as err:
             main(["session", *argv.split()])
         assert err.value.code == 2
-        err_text = capsys.readouterr().err
-        assert message in err_text
-        assert "_int" not in err_text  # no helper's name
+        assert message in capsys.readouterr().err
 
     def test_conflicting_out_and_format(self):
         with pytest.raises(SystemExit) as err:
